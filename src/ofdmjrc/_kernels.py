@@ -1,77 +1,20 @@
-"""Numerical hot paths, each with a numba-compiled and a pure-numpy variant.
+"""Numerical hot paths: received-grid synthesis and tone-peak refinement.
 
-Set the environment variable OFDMJRC_DISABLE_NUMBA=1 before import to
-force the numpy variants (the same happens automatically when numba is
-not importable). The per-element loop implementations are the reference
-semantics; the vectorized numpy variants must stay within 1e-9 relative
-of them on random inputs, which the kernel equivalence tests enforce.
-
-Exposed handles:
-  synth_grid / refine_tones            dispatcher bound at import time
-  synth_grid_numba / refine_tones_numba  compiled variant (when available)
-  synth_grid_numpy / refine_tones_numpy  vectorized variant
-  synth_grid_ref                       plain-python loop, test oracle only
-
-Dispatch policy: refinement goes to the compiled variant when available;
-synthesis always uses the vectorized numpy variant, which is faster at
-the grid sizes this package runs (benchmarks/benchmark_kernels.py holds
-the numbers). Both compiled variants stay exported for comparison.
+Both are plain numpy. synth_grid places each subcarrier's symbols on its
+DFT bin and takes one inverse FFT per symbol, which is exact because the
+sample rate is n_fft * delta_f. refine_tones runs a few Newton steps on
+the closed-form derivatives of the tone power inside a bracket around
+each coarse peak. The per-element synthesis loop and a golden-section
+search live in tests/test_kernels.py as the oracles for both.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-import os
-
 import numpy as np
 
-_env = os.environ.get("OFDMJRC_DISABLE_NUMBA", "")
-DISABLE_NUMBA = _env.strip().lower() not in ("", "0", "false", "no")
-
-NUMBA_ENABLED = False
-if not DISABLE_NUMBA:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
-
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_iterations(rel_tol: float) -> int:
-    """Iterations needed to shrink a bracket to rel_tol of its initial width."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must be in (0, 1)")
-    return max(1, int(math.ceil(math.log(rel_tol) / math.log(INV_PHI))))
-
-
-def _synth_grid_impl(x, k_idx, n_fft, m_symbols, delta_f, f_s, t_sym,
-                     h_eff, tau0, v, f_cfo, c_light):
-    # y[m,n] = (h/sqrt(N)) sum_k x[k,m]
-    #          * exp(j*2pi*k*df*(n/fs - tau0 + (2v/c)*m*T))
-    #          * exp(j*2pi*((f_c+f_cfo)*(2v/c) + f_cfo)*m*T)
-    # slow_freq is precomputed by the caller and passed via f_cfo, see
-    # synth_grid wrappers; here f_cfo is already the slow-time frequency.
-    out = np.empty((m_symbols, n_fft), np.complex128)
-    two_pi = 2.0 * math.pi
-    scale = h_eff / math.sqrt(n_fft)
-    two_v_c = 2.0 * v / c_light
-    n_k = k_idx.shape[0]
-    for m in range(m_symbols):
-        mt = m * t_sym
-        slow = cmath.exp(1j * two_pi * f_cfo * mt)
-        for n in range(n_fft):
-            tn = n / f_s
-            acc = 0.0 + 0.0j
-            for q in range(n_k):
-                f_k = k_idx[q] * delta_f
-                ph = two_pi * f_k * (tn - tau0 + two_v_c * mt)
-                acc += x[q, m] * cmath.exp(1j * ph)
-            out[m, n] = scale * slow * acc
-    return out
+# From a zero-padded coarse peak Newton converges in two to four steps;
+# the cap bounds the work on rows with no peak to converge to.
+_NEWTON_MAX_STEPS = 8
 
 
 def _slow_time_freq(f_c, f_cfo, v, c_light):
@@ -79,189 +22,65 @@ def _slow_time_freq(f_c, f_cfo, v, c_light):
     return (f_c + f_cfo) * (2.0 * v / c_light) + f_cfo
 
 
-def synth_grid_numpy(x, k_idx, n_fft, m_symbols, delta_f, f_s, t_sym,
-                     h_eff, tau0, v, f_cfo, f_c, c_light):
-    """Vectorized synthesis of the received 2D grid."""
+def synth_grid(x, k_idx, n_fft, m_symbols, delta_f, t_sym,
+               h_eff, tau0, v, f_cfo, f_c, c_light):
+    """Received sample grid y[m, n] for one delayed, Doppler-shifted echo.
+
+    y[m,n] = (h/sqrt(N)) sum_k x[k,m] e^{j2pi k n/N}
+             * e^{j2pi k delta_f ((2v/c) m t_sym - tau0)} * e^{j2pi f_slow m t_sym}
+
+    k_idx holds distinct integer subcarrier indices with |k| < n_fft; bin
+    k lands at k mod n_fft of each symbol's inverse FFT.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    k_idx = np.asarray(k_idx, dtype=np.float64)
-    n = np.arange(n_fft, dtype=np.float64)
-    m = np.arange(m_symbols, dtype=np.float64)
+    k_idx = np.asarray(k_idx)
+    m_t = np.arange(m_symbols, dtype=np.float64) * t_sym
     two_pi = 2.0 * np.pi
-    fast = np.exp(1j * two_pi * np.outer(n / f_s, k_idx * delta_f))  # [n, k]
-    slow_freq = _slow_time_freq(f_c, f_cfo, v, c_light)
-    slow = np.exp(1j * two_pi * slow_freq * m * t_sym)  # [m]
-    shift = (2.0 * v / c_light) * m * t_sym - tau0  # [m]
+    shift = (2.0 * v / c_light) * m_t - tau0  # [m]
     phase_km = np.exp(1j * two_pi * np.outer(k_idx * delta_f, shift))  # [k, m]
-    y = (fast @ (x * phase_km)).T * slow[:, None]
-    return y * (h_eff / np.sqrt(n_fft))
+    buf = np.zeros((m_symbols, n_fft), dtype=np.complex128)
+    buf[:, k_idx % n_fft] = (x * phase_km).T
+    y = np.fft.ifft(buf, axis=1, norm="forward")
+    slow = np.exp(1j * two_pi * _slow_time_freq(f_c, f_cfo, v, c_light) * m_t)
+    return y * (slow * (h_eff / np.sqrt(n_fft)))[:, None]
 
 
-def synth_grid_ref(x, k_idx, n_fft, m_symbols, delta_f, f_s, t_sym,
-                   h_eff, tau0, v, f_cfo, f_c, c_light):
-    """Plain-python per-element loop; slow, used as the test oracle."""
-    slow_freq = _slow_time_freq(f_c, f_cfo, v, c_light)
-    return _synth_grid_impl(np.asarray(x, dtype=np.complex128),
-                            np.asarray(k_idx, dtype=np.float64),
-                            int(n_fft), int(m_symbols),
-                            float(delta_f), float(f_s), float(t_sym),
-                            complex(h_eff), float(tau0), float(v),
-                            float(slow_freq), float(c_light))
-
-
-def _refine_tones_numpy_core(rows, coef, sign, x0, half, n_iter):
-    rows = np.asarray(rows, dtype=np.complex128)
-    coef = np.asarray(coef, dtype=np.float64)
-    two_pi = 2.0 * np.pi
-
-    def power(xv):
-        ph = np.exp(1j * (sign * two_pi) * xv[:, None] * coef[None, :])
-        s = (rows * ph).sum(axis=1)
-        return s.real * s.real + s.imag * s.imag
-
-    a = x0 - half
-    b = x0 + half
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc = power(c)
-    fd = power(d)
-    for _ in range(n_iter):
-        take = fc > fd
-        na = np.where(take, a, c)
-        nb = np.where(take, d, b)
-        newx = np.where(take, nb - INV_PHI * (nb - na), na + INV_PHI * (nb - na))
-        fnew = power(newx)
-        nc = np.where(take, newx, d)
-        nd = np.where(take, c, newx)
-        nfc = np.where(take, fnew, fd)
-        nfd = np.where(take, fc, fnew)
-        a, b, c, d, fc, fd = na, nb, nc, nd, nfc, nfd
-    return 0.5 * (a + b)
-
-
-def refine_tones_numpy(rows, coef, sign, x0, half, n_iter):
-    """Golden-section ascent of |sum_l rows[b,l]*exp(j*sign*2pi*x*coef[l])|^2.
+def refine_tones(rows, coef, sign, x0, half, rel_tol):
+    """Newton ascent of P(x) = |S(x)|^2, S(x) = sum_l rows[b,l] e^{j sign 2pi x coef[l]}.
 
     rows: complex [B, L]; coef: float [L]; x0, half: float [B] bracket
-    centers and half-widths. Returns the refined abscissa per row.
+    centers and half-widths. Each row stays in [x0 - half, x0 + half];
+    where P is not concave the step goes uphill to the bracket edge. The
+    search stops once every row's next step is at most rel_tol of its
+    bracket width, or after a fixed number of steps. A row whose final
+    power is below the power at x0 returns x0.
     """
-    return _refine_tones_numpy_core(rows, coef, float(sign),
-                                    np.asarray(x0, dtype=np.float64),
-                                    np.asarray(half, dtype=np.float64),
-                                    int(n_iter))
+    rows = np.asarray(rows, dtype=np.complex128)
+    w = (float(sign) * 2.0 * np.pi) * np.asarray(coef, dtype=np.float64)
+    jw = 1j * w
+    x0 = np.asarray(x0, dtype=np.float64)
+    half = np.asarray(half, dtype=np.float64)
+    lo, hi = x0 - half, x0 + half
+    width = 2.0 * half
+    # S' and S'' are S with rows scaled by j*w and by -w^2
+    weighted = rows[:, None, :] * np.array([np.ones_like(w), jw, -(w * w)])  # [B, 3, L]
 
-
-def _tone_power_impl(row, coef, sign, x):
-    two_pi = 2.0 * math.pi
-    re = 0.0
-    im = 0.0
-    for l in range(row.shape[0]):
-        ph = sign * two_pi * x * coef[l]
-        cs = math.cos(ph)
-        sn = math.sin(ph)
-        re += row[l].real * cs - row[l].imag * sn
-        im += row[l].real * sn + row[l].imag * cs
-    return re * re + im * im
-
-
-def _refine_tones_loop_impl(rows, coef, sign, x0, half, n_iter, tone_power):
-    n_rows = rows.shape[0]
-    out = np.empty(n_rows, np.float64)
-    for b in range(n_rows):
-        a = x0[b] - half[b]
-        bb = x0[b] + half[b]
-        c = bb - INV_PHI * (bb - a)
-        d = a + INV_PHI * (bb - a)
-        fc = tone_power(rows[b], coef, sign, c)
-        fd = tone_power(rows[b], coef, sign, d)
-        for _ in range(n_iter):
-            if fc > fd:
-                bb = d
-                d = c
-                fd = fc
-                c = bb - INV_PHI * (bb - a)
-                fc = tone_power(rows[b], coef, sign, c)
-            else:
-                a = c
-                c = d
-                fc = fd
-                d = a + INV_PHI * (bb - a)
-                fd = tone_power(rows[b], coef, sign, d)
-        out[b] = 0.5 * (a + bb)
-    return out
-
-
-synth_grid_numba = None
-refine_tones_numba = None
-
-if NUMBA_ENABLED:
-    _synth_grid_jit = njit(cache=True)(_synth_grid_impl)
-    _tone_power_jit = njit(cache=True)(_tone_power_impl)
-
-    @njit(cache=True)
-    def _refine_tones_jit(rows, coef, sign, x0, half, n_iter):
-        n_rows = rows.shape[0]
-        out = np.empty(n_rows, np.float64)
-        for b in range(n_rows):
-            a = x0[b] - half[b]
-            bb = x0[b] + half[b]
-            c = bb - INV_PHI * (bb - a)
-            d = a + INV_PHI * (bb - a)
-            fc = _tone_power_jit(rows[b], coef, sign, c)
-            fd = _tone_power_jit(rows[b], coef, sign, d)
-            for _ in range(n_iter):
-                if fc > fd:
-                    bb = d
-                    d = c
-                    fd = fc
-                    c = bb - INV_PHI * (bb - a)
-                    fc = _tone_power_jit(rows[b], coef, sign, c)
-                else:
-                    a = c
-                    c = d
-                    fc = fd
-                    d = a + INV_PHI * (bb - a)
-                    fd = _tone_power_jit(rows[b], coef, sign, d)
-            out[b] = 0.5 * (a + bb)
-        return out
-
-    def synth_grid_numba(x, k_idx, n_fft, m_symbols, delta_f, f_s, t_sym,
-                         h_eff, tau0, v, f_cfo, f_c, c_light):
-        slow_freq = _slow_time_freq(f_c, f_cfo, v, c_light)
-        return _synth_grid_jit(np.ascontiguousarray(x, dtype=np.complex128),
-                               np.ascontiguousarray(k_idx, dtype=np.float64),
-                               int(n_fft), int(m_symbols),
-                               float(delta_f), float(f_s), float(t_sym),
-                               complex(h_eff), float(tau0), float(v),
-                               float(slow_freq), float(c_light))
-
-    def refine_tones_numba(rows, coef, sign, x0, half, n_iter):
-        return _refine_tones_jit(np.ascontiguousarray(rows, dtype=np.complex128),
-                                 np.ascontiguousarray(coef, dtype=np.float64),
-                                 float(sign),
-                                 np.ascontiguousarray(x0, dtype=np.float64),
-                                 np.ascontiguousarray(half, dtype=np.float64),
-                                 int(n_iter))
-
-
-# The synthesis kernel reuses fast-time phasors through one matmul, which
-# beats the compiled per-element loop at production grid sizes (see
-# benchmarks/benchmark_kernels.py), so it always dispatches to numpy. The
-# refinement loop is the opposite case: many tiny dependent steps per row,
-# where compilation wins severalfold.
-synth_grid = synth_grid_numpy
-refine_tones = refine_tones_numba if NUMBA_ENABLED else refine_tones_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation once so later calls are not billed for it."""
-    x = np.ones((2, 2), np.complex128)
-    k_idx = np.array([-1.0, 1.0])
-    rows = np.ones((2, 3), np.complex128)
-    coef = np.array([0.0, 1.0, 2.0])
-    targets = [(synth_grid, refine_tones)]
-    if NUMBA_ENABLED:
-        targets.append((synth_grid_numba, refine_tones_numba))
-    for synth, refine in targets:
-        synth(x, k_idx, 4, 2, 1.0e3, 4.0e3, 1.0e-3,
-              1.0 + 0.0j, 0.0, 0.0, 0.0, 1.0e9, 299792458.0)
-        refine(rows, coef, 1.0, np.zeros(2), np.full(2, 0.25), 8)
+    x = x0
+    for n_step in range(_NEWTON_MAX_STEPS):
+        s, s1, s2 = (weighted @ np.exp(x[:, None] * jw)[:, :, None])[:, :, 0].T
+        if n_step == 0:
+            p0 = s.real * s.real + s.imag * s.imag
+        sc = s.conj()
+        # P' and P'' without their common factor 2
+        grad = (sc * s1).real
+        curv = (s1 * s1.conj()).real + (sc * s2).real
+        concave = curv < 0.0
+        step = np.where(concave, grad / np.where(concave, -curv, 1.0),
+                        np.sign(grad) * width)
+        x_new = np.minimum(np.maximum(x + step, lo), hi)
+        if (n_step == _NEWTON_MAX_STEPS - 1
+                or np.all(np.abs(x_new - x) <= rel_tol * width)):
+            break
+        x = x_new
+    p = s.real * s.real + s.imag * s.imag
+    return np.where(p >= p0, x, x0)

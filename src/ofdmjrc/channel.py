@@ -134,11 +134,10 @@ def draw_channel_gain(big_g: float, scenario: Scenario, cfg: OfdmConfig,
 
 def _synth(cfg: OfdmConfig, scenario: Scenario, frame: FrameSymbols,
            gain: ChannelGain, f_cfo_hz: float) -> SampleGrid:
-    k_idx = active_subcarriers(cfg).astype(np.float64)
     tau0 = 2.0 * scenario.r0_m / C_LIGHT
     y = _kernels.synth_grid(
-        frame.x, k_idx,
-        cfg.n_fft, cfg.m_symbols, cfg.delta_f_hz, cfg.f_s_hz, cfg.t_sym_s,
+        frame.x, active_subcarriers(cfg),
+        cfg.n_fft, cfg.m_symbols, cfg.delta_f_hz, cfg.t_sym_s,
         gain.h_eff, tau0, scenario.v_mps, f_cfo_hz, cfg.f_c_hz, C_LIGHT,
     )
     return SampleGrid(y=y)

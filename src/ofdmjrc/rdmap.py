@@ -8,9 +8,9 @@ tau_obs[m] = 2*r0/c - (2v/c)*m*t_sym when the delay axis is oriented so
 physical delays land at positive values. Each subcarrier row k is a
 tone across the symbol index combining per-subcarrier Doppler and any
 carrier frequency offset: dopp_obs[k] = (2v/c)*(f_c + k*delta_f) plus
-the offset. Coarse peaks come from zero-padded transforms; a
-golden-section ascent on the exact tone objective refines each peak
-well below one padded bin.
+the offset. Coarse peaks come from zero-padded transforms; Newton
+steps on the exact tone objective refine each peak well below one
+padded bin.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class PeakObservations:
 
 
 def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations:
-    """Coarse zero-padded peaks refined by golden-section ascent.
+    """Coarse zero-padded peaks refined by Newton ascent within one padded bin.
 
     Each slow-time column m yields one delay observation by maximizing
     |sum_k y_tilde[k,m] e^{+j2pi k delta_f tau}| over tau; each
@@ -137,15 +137,13 @@ def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations
         raise NoPeakError("grid is identically zero; no peak to extract")
 
     k_idx = active_subcarriers(cfg).astype(np.float64)
-    n_iter = _kernels.golden_iterations(cfg.peak_refine_tol)
 
     ld = cfg.n_fft * cfg.zero_pad
     d0 = np.argmax(np.abs(_delay_spectrum(cfg, y_tilde)), axis=0)
     x0 = d0.astype(np.float64) / (ld * cfg.delta_f_hz)
     half = np.full(x0.shape, 1.0 / (ld * cfg.delta_f_hz))
-    delays = _kernels.refine_tones(np.ascontiguousarray(y_tilde.T),
-                                   k_idx * cfg.delta_f_hz, 1.0,
-                                   x0, half, n_iter)
+    delays = _kernels.refine_tones(y_tilde.T, k_idx * cfg.delta_f_hz, 1.0,
+                                   x0, half, cfg.peak_refine_tol)
     delays = np.mod(delays, cfg.t_sym_s)
 
     lm = cfg.m_symbols * cfg.zero_pad
@@ -154,8 +152,8 @@ def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations
     f0 = axis[o0]
     half_f = np.full(f0.shape, 1.0 / (lm * cfg.t_sym_s))
     m_coef = np.arange(cfg.m_symbols, dtype=np.float64) * cfg.t_sym_s
-    dopps = _kernels.refine_tones(np.ascontiguousarray(y_tilde),
-                                  m_coef, -1.0, f0, half_f, n_iter)
+    dopps = _kernels.refine_tones(y_tilde, m_coef, -1.0, f0, half_f,
+                                  cfg.peak_refine_tol)
     span = 1.0 / cfg.t_sym_s
     dopps = np.mod(dopps + span / 2.0, span) - span / 2.0
 

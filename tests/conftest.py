@@ -1,14 +1,8 @@
 import pytest
 
-from ofdmjrc import _kernels, build_config
+from ofdmjrc import build_config
 
 
 @pytest.fixture(scope="session")
 def cfg():
     return build_config()
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile jitted kernels once up front so timing assertions see steady state
-    _kernels.warmup()
