@@ -8,6 +8,9 @@ with a matched-template GLRT. Monte Carlo sweeps produce ROC curves with
 confidence intervals; a CLI fronts the whole pipeline.
 """
 
+# Set before the submodules load: configio stamps it into run manifests.
+__version__ = "0.1.0"
+
 from .channel import (
     ChannelGain,
     Scenario,
@@ -81,8 +84,6 @@ from .waveform import (
     idft_modulate,
     pilot_subcarriers,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "C_LIGHT",

@@ -31,7 +31,7 @@ from .errors import (
     KindMismatchError,
     SingularityError,
 )
-from .grids import SampleGrid
+from .grids import SampleGrid, write_cells_csv
 from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, active_subcarriers
 
 
@@ -202,12 +202,8 @@ def add_awgn(grid: SampleGrid, snr_db: float, seed) -> SampleGrid:
 def write_grid_csv(path, grid: SampleGrid) -> None:
     """Write time-domain samples as CSV rows m,n,re,im with a header."""
     y = grid.y
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("m,n,re,im\n")
-        for m in range(y.shape[0]):
-            for n in range(y.shape[1]):
-                val = y[m, n]
-                fh.write(f"{m},{n},{float(val.real)!r},{float(val.imag)!r}\n")
+    write_cells_csv(path, "m,n,re,im", range(y.shape[0]), range(y.shape[1]),
+                    y.real, y.imag)
 
 
 def write_grid_bin(path, grid: SampleGrid) -> None:

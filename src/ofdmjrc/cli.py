@@ -12,17 +12,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .channel import (
-    add_awgn,
-    draw_channel_gain,
-    path_loss_gain,
-    synth_target,
-    wavelength_m,
-    write_grid_bin,
-    write_grid_csv,
-)
+from .channel import write_grid_bin, write_grid_csv
 from .configio import (
     detector_mode_from,
     genie_flags_from,
@@ -34,16 +24,13 @@ from .configio import (
     write_manifest,
 )
 from .errors import ConfigurationError, OfdmJrcError
+from .grids import write_cells_csv
 from .montecarlo import roc_sweep, run_trial, write_roc_csv
-from .rdmap import (
-    fast_time_dft,
-    range_doppler_map,
-    remove_known_symbols,
-    resolution_summary,
-    write_rdmap_csv,
-)
+# Bound under this name too, because perfbench's traced export run wraps it.
+from .montecarlo import trial_grids as _pipeline_grids
+from .rdmap import range_doppler_map, resolution_summary, write_rdmap_csv
 from .svgplot import parse_roc_csv, render_roc_svg
-from .waveform import active_subcarriers, generate_frame, write_frame_csv
+from .waveform import active_subcarriers, write_frame_csv
 
 
 def _fail(message: str, code: int) -> int:
@@ -95,27 +82,9 @@ def _trial_dict(rec):
 
 
 def _write_freq_csv(path, y_tilde) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,m,re,im\n")
-        for ki in range(y_tilde.shape[0]):
-            for m in range(y_tilde.shape[1]):
-                val = y_tilde[ki, m]
-                fh.write(f"{ki},{m},{float(val.real)!r},{float(val.imag)!r}\n")
-
-
-def _pipeline_grids(cfg, scenario):
-    """Frame, noisy sample grid, and symbol-removed grid for one scenario."""
-    ss = np.random.SeedSequence(scenario.seed)
-    frame_ss, gain_ss, noise_ss = ss.spawn(3)
-    frame = generate_frame(cfg, np.random.default_rng(frame_ss))
-    big_g = path_loss_gain(wavelength_m(cfg.f_c_hz),
-                           scenario.sigma_rcs_m2, scenario.r0_m)
-    gain = draw_channel_gain(big_g, scenario, cfg,
-                             np.random.default_rng(gain_ss))
-    grid = synth_target(cfg, scenario, frame, gain)
-    noisy = add_awgn(grid, scenario.snr_db, np.random.default_rng(noise_ss))
-    fg = remove_known_symbols(fast_time_dft(noisy, cfg), frame)
-    return frame, noisy, fg
+    """Symbol-removed grid as CSV rows k,m,re,im; k is the row position."""
+    write_cells_csv(path, "k,m,re,im", range(y_tilde.shape[0]),
+                    range(y_tilde.shape[1]), y_tilde.real, y_tilde.imag)
 
 
 def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> int:

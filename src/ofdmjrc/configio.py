@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from . import __version__
 from .channel import Scenario, TargetKind
 from .detector import MODE_AMPLITUDE, MODE_REAL_PART
 from .errors import ConfigurationError
@@ -191,7 +192,7 @@ class RunManifest:
     master_seed: int
     outputs: list[str] = field(default_factory=list)
     timestamp: str = ""
-    version: str = "0.1.0"
+    version: str = __version__
 
 
 def make_manifest(subcommand: str, cfg_map: dict[str, object],

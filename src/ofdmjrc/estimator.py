@@ -102,8 +102,7 @@ def build_design_matrices(cfg: OfdmConfig) -> DesignMatrices:
     return DesignMatrices(a2=a2, a1=a1)
 
 
-def solve_linear_ls(a: np.ndarray, f: np.ndarray,
-                    weights: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def solve_linear_ls(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
     """Column-scaled least squares; returns (theta, residual 2-norm).
 
     Columns are scaled to unit max magnitude before the orthogonal
@@ -111,9 +110,7 @@ def solve_linear_ls(a: np.ndarray, f: np.ndarray,
     unit disparity between seconds and hertz. A scaled condition number
     above COND_LIMIT (including zero columns) raises IllConditionedError
     carrying the number. The residual is recomputed from the unscaled
-    system. Optional per-observation weights solve the row-scaled system
-    min ||sqrt(w)*(f - A theta)||; the returned residual is then the
-    weighted norm.
+    system.
     """
     a = np.asarray(a, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64).ravel()
@@ -125,13 +122,6 @@ def solve_linear_ls(a: np.ndarray, f: np.ndarray,
         raise EstimationSetupError(
             f"underdetermined system: {a.shape[0]} rows for {a.shape[1]} params"
         )
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64).ravel()
-        if w.size != f.size or np.any(w < 0):
-            raise EstimationSetupError("weights must be non-negative, one per row")
-        root = np.sqrt(w)
-        a = a * root[:, None]
-        f = f * root
     scale = np.max(np.abs(a), axis=0)
     safe = np.where(scale > 0.0, scale, 1.0)
     a_s = a / safe
@@ -171,21 +161,19 @@ def _check_lengths(obs: ObservationVector, dm: DesignMatrices) -> None:
         )
 
 
-def estimate_h0(obs: ObservationVector, dm: DesignMatrices,
-                weights: np.ndarray | None = None) -> Estimates:
+def estimate_h0(obs: ObservationVector, dm: DesignMatrices) -> Estimates:
     """Three-parameter fit [R, v, f_cfo] under the false-target hypothesis."""
     _check_lengths(obs, dm)
-    theta, rnorm = solve_linear_ls(dm.h0_matrix(), obs.f, weights)
+    theta, rnorm = solve_linear_ls(dm.h0_matrix(), obs.f)
     return Estimates(r0_hat_m=float(theta[0]), v_hat_mps=float(theta[1]),
                      f_cfo_hat_hz=float(theta[2]), residual_norm=rnorm,
                      hypothesis="h0")
 
 
-def estimate_h1(obs: ObservationVector, dm: DesignMatrices,
-                weights: np.ndarray | None = None) -> Estimates:
+def estimate_h1(obs: ObservationVector, dm: DesignMatrices) -> Estimates:
     """Two-parameter fit [R, v] under the real-target hypothesis (no offset)."""
     _check_lengths(obs, dm)
-    theta, rnorm = solve_linear_ls(dm.h1_matrix(), obs.f, weights)
+    theta, rnorm = solve_linear_ls(dm.h1_matrix(), obs.f)
     return Estimates(r0_hat_m=float(theta[0]), v_hat_mps=float(theta[1]),
                      f_cfo_hat_hz=None, residual_norm=rnorm,
                      hypothesis="h1")

@@ -1,4 +1,5 @@
-"""Shared 2D sample containers passed between the synthesis and receiver stages."""
+"""Shared 2D sample containers passed between the synthesis and receiver
+stages, and the one CSV writer every grid export uses."""
 
 from __future__ import annotations
 
@@ -55,3 +56,20 @@ class FreqGrid:
     def vectorized(self) -> np.ndarray:
         """Flatten to z[k + m*K]: subcarrier index fastest, symbols stacked."""
         return self.y_tilde.flatten(order="F")
+
+
+def write_cells_csv(path, header: str, rows, cols, *planes) -> None:
+    """Write 2D arrays as one CSV line ``row,col,value...`` per cell.
+
+    ``rows`` and ``cols`` label axis 0 and axis 1 of every plane. Labels
+    and values are written with repr (Python ints and floats), so floats
+    round-trip exactly. Each label is formatted once per axis, and the
+    file is written one row at a time.
+    """
+    cols = [repr(c) for c in np.asarray(cols).tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i, row in enumerate(np.asarray(rows).tolist()):
+            lead = f"{row!r},"
+            cells = zip(cols, *(map(repr, p[i].tolist()) for p in planes))
+            fh.write("".join(lead + ",".join(c) + "\n" for c in cells))

@@ -196,6 +196,25 @@ def _condition_estimates(cfg: OfdmConfig, obs: ObservationVector,
     return est0_t, est1_t
 
 
+def trial_grids(cfg: OfdmConfig, scenario: Scenario):
+    """Frame, noisy sample grid and symbol-removed grid of one trial.
+
+    The front half of the pipeline, from the three RNG substreams of
+    scenario.seed to known-symbol removal; run_trial and the CLI exports
+    both call it, so an export shows the grids a trial scores.
+    """
+    frame_ss, gain_ss, noise_ss = np.random.SeedSequence(scenario.seed).spawn(3)
+    frame = generate_frame(cfg, np.random.default_rng(frame_ss))
+    big_g = path_loss_gain(wavelength_m(cfg.f_c_hz),
+                           scenario.sigma_rcs_m2, scenario.r0_m)
+    gain = draw_channel_gain(big_g, scenario, cfg,
+                             np.random.default_rng(gain_ss))
+    grid = synth_target(cfg, scenario, frame, gain)
+    noisy = add_awgn(grid, scenario.snr_db, np.random.default_rng(noise_ss))
+    fg = remove_known_symbols(fast_time_dft(noisy, cfg), frame)
+    return frame, noisy, fg
+
+
 def run_trial(cfg: OfdmConfig, scenario: Scenario, genie: bool = False,
               mode: str = MODE_AMPLITUDE,
               cfo_floor_hz: float = DEFAULT_CFO_FLOOR_HZ,
@@ -207,17 +226,7 @@ def run_trial(cfg: OfdmConfig, scenario: Scenario, genie: bool = False,
     raised, so sweeps can account for them without dying.
     """
     try:
-        ss = np.random.SeedSequence(scenario.seed)
-        frame_ss, gain_ss, noise_ss = ss.spawn(3)
-        frame = generate_frame(cfg, np.random.default_rng(frame_ss))
-        big_g = path_loss_gain(wavelength_m(cfg.f_c_hz),
-                               scenario.sigma_rcs_m2, scenario.r0_m)
-        gain = draw_channel_gain(big_g, scenario, cfg,
-                                 np.random.default_rng(gain_ss))
-        grid = synth_target(cfg, scenario, frame, gain)
-        noisy = add_awgn(grid, scenario.snr_db, np.random.default_rng(noise_ss))
-        y_f = fast_time_dft(noisy, cfg)
-        fg = remove_known_symbols(y_f, frame)
+        _, _, fg = trial_grids(cfg, scenario)
         peaks = extract_peak_observations(fg, cfg)
         obs = ObservationVector.from_peaks(peaks)
         dm = build_design_matrices(cfg)
@@ -297,7 +306,6 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
         base_scenario = Scenario(kind=TargetKind.FALSE_TARGET)
 
     tasks = []
-    tags = []
     for snr_idx, snr in enumerate(snr_db_list):
         for kind_idx, kind in enumerate((TargetKind.FALSE_TARGET,
                                          TargetKind.REAL_TARGET)):
@@ -307,18 +315,18 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
                 sc = replace(base_scenario, kind=kind, f_cfo_hz=f_cfo,
                              snr_db=snr, seed=seed)
                 tasks.append((cfg, sc, genie, mode, cfo_floor_hz))
-                tags.append((snr_idx, kind_idx))
     records = _run_many(tasks, workers)
 
     curves = []
     cfg_hash = config_fingerprint(cfg)
     for snr_idx, snr in enumerate(snr_db_list):
-        t_false = np.array([r.t_stat for r, tag in zip(records, tags)
-                            if tag == (snr_idx, 0) and r.valid])
-        t_real = np.array([r.t_stat for r, tag in zip(records, tags)
-                           if tag == (snr_idx, 1) and r.valid])
-        n_invalid = sum(1 for r, tag in zip(records, tags)
-                        if tag[0] == snr_idx and not r.valid)
+        # Records run snr -> truth side -> trial, n_trials per side.
+        start = 2 * snr_idx * n_trials
+        false_recs = records[start:start + n_trials]
+        real_recs = records[start + n_trials:start + 2 * n_trials]
+        t_false = np.array([r.t_stat for r in false_recs if r.valid])
+        t_real = np.array([r.t_stat for r in real_recs if r.valid])
+        n_invalid = 2 * n_trials - t_false.size - t_real.size
         gamma = (gamma_grid if gamma_grid is not None
                  else auto_gamma_grid(np.concatenate([t_false, t_real])))
         k_fa = (t_false[None, :] >= gamma[:, None]).sum(axis=1)

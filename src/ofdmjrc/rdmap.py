@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DivisionGuardError, NoPeakError, PipelineError
-from .grids import FreqGrid, SampleGrid
+from .grids import FreqGrid, SampleGrid, write_cells_csv
 from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, active_subcarriers
 
 _DIVISION_FLOOR = 1.0e-6
@@ -180,10 +180,5 @@ def resolution_summary(cfg: OfdmConfig) -> dict[str, float]:
 
 def write_rdmap_csv(path, rdm: RangeDopplerMap) -> None:
     """Write the map as CSV rows delay_s,doppler_hz,magnitude with a header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("delay_s,doppler_hz,magnitude\n")
-        for d in range(rdm.magnitudes.shape[0]):
-            for o in range(rdm.magnitudes.shape[1]):
-                fh.write(f"{float(rdm.delay_axis_s[d])!r},"
-                         f"{float(rdm.doppler_axis_hz[o])!r},"
-                         f"{float(rdm.magnitudes[d, o])!r}\n")
+    write_cells_csv(path, "delay_s,doppler_hz,magnitude", rdm.delay_axis_s,
+                    rdm.doppler_axis_hz, rdm.magnitudes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import SampleGrid
+from .grids import SampleGrid, write_cells_csv
 
 C_LIGHT = 299_792_458.0
 
@@ -195,9 +195,4 @@ def config_fingerprint(cfg: OfdmConfig) -> str:
 def write_frame_csv(path, frame: FrameSymbols, k_idx: np.ndarray) -> None:
     """Write a frame as CSV rows k,m,re,im with a header line."""
     x = frame.x
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,m,re,im\n")
-        for ki, k in enumerate(k_idx):
-            for m in range(x.shape[1]):
-                val = x[ki, m]
-                fh.write(f"{int(k)},{m},{float(val.real)!r},{float(val.imag)!r}\n")
+    write_cells_csv(path, "k,m,re,im", k_idx, range(x.shape[1]), x.real, x.imag)

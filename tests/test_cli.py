@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import ofdmjrc
+
 
 def _run(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "ofdmjrc", *args],
@@ -32,6 +34,14 @@ def test_simulate_writes_trial_and_manifest(tmp_path):
     assert manifest["subcommand"] == "simulate"
     assert manifest["master_seed"] == 2
     assert any(p.endswith("trial.json") for p in manifest["outputs"])
+
+
+def test_manifest_version_is_package_version(tmp_path):
+    out = tmp_path / "out"
+    proc = _run("simulate", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["version"] == ofdmjrc.__version__
 
 
 def test_simulate_reports_missing_config(tmp_path):

@@ -178,17 +178,6 @@ def test_solver_matches_normal_equations():
     assert resid == pytest.approx(np.linalg.norm(f - a @ theta), rel=1e-12)
 
 
-def test_solver_supports_row_weights():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((30, 2))
-    f = rng.standard_normal(30)
-    w = rng.uniform(0.5, 2.0, 30)
-    theta, _ = solve_linear_ls(a, f, weights=w)
-    sw = np.sqrt(w)
-    direct = np.linalg.lstsq(a * sw[:, None], f * sw, rcond=None)[0]
-    np.testing.assert_allclose(theta, direct, rtol=1e-10)
-
-
 def test_solver_flags_rank_deficiency():
     col = np.arange(1.0, 13.0)
     a = np.column_stack([col, 2.0 * col])  # exactly collinear
