@@ -60,7 +60,9 @@ from .montecarlo import (
     TrialRecord,
     auto_gamma_grid,
     roc_sweep,
+    run_batch,
     run_trial,
+    run_trial_with_grids,
     trial_seed,
     wilson_interval,
     write_roc_csv,
@@ -136,7 +138,9 @@ __all__ = [
     "remove_known_symbols",
     "resolution_summary",
     "roc_sweep",
+    "run_batch",
     "run_trial",
+    "run_trial_with_grids",
     "solve_linear_ls",
     "synth_false_target",
     "synth_real_target",

@@ -4,8 +4,9 @@ Both are plain numpy. synth_grid places each subcarrier's symbols on its
 DFT bin and takes one inverse FFT per symbol, which is exact because the
 sample rate is n_fft * delta_f. refine_tones runs a few Newton steps on
 the closed-form derivatives of the tone power inside a bracket around
-each coarse peak. The per-element synthesis loop and a golden-section
-search live in tests/test_kernels.py as the oracles for both.
+each coarse peak, stopping each row on its own. The per-element
+synthesis loop and a golden-section search live in tests/test_kernels.py
+as the oracles for both.
 """
 
 from __future__ import annotations
@@ -50,10 +51,12 @@ def refine_tones(rows, coef, sign, x0, half, rel_tol):
 
     rows: complex [B, L]; coef: float [L]; x0, half: float [B] bracket
     centers and half-widths. Each row stays in [x0 - half, x0 + half];
-    where P is not concave the step goes uphill to the bracket edge. The
-    search stops once every row's next step is at most rel_tol of its
-    bracket width, or after a fixed number of steps. A row whose final
-    power is below the power at x0 returns x0.
+    where P is not concave the step goes uphill to the bracket edge. Each
+    row stops on its own once its next step is at most rel_tol of its
+    bracket width, or after a fixed number of steps, and later steps
+    evaluate only the rows still moving; so a row's result does not
+    depend on the other rows of the call. A row whose final power is
+    below the power at x0 returns x0.
     """
     rows = np.asarray(rows, dtype=np.complex128)
     w = (float(sign) * 2.0 * np.pi) * np.asarray(coef, dtype=np.float64)
@@ -65,22 +68,28 @@ def refine_tones(rows, coef, sign, x0, half, rel_tol):
     # S' and S'' are S with rows scaled by j*w and by -w^2
     weighted = rows[:, None, :] * np.array([np.ones_like(w), jw, -(w * w)])  # [B, 3, L]
 
-    x = x0
+    x = x0.copy()
+    p = np.empty(x0.shape)
+    live = np.arange(x0.size)  # rows still moving
     for n_step in range(_NEWTON_MAX_STEPS):
-        s, s1, s2 = (weighted @ np.exp(x[:, None] * jw)[:, :, None])[:, :, 0].T
+        xl = x[live]
+        s, s1, s2 = (weighted[live] @ np.exp(xl[:, None] * jw)[:, :, None])[:, :, 0].T
+        p[live] = s.real * s.real + s.imag * s.imag
         if n_step == 0:
-            p0 = s.real * s.real + s.imag * s.imag
+            p0 = p.copy()
+        if n_step == _NEWTON_MAX_STEPS - 1:
+            break
         sc = s.conj()
         # P' and P'' without their common factor 2
         grad = (sc * s1).real
         curv = (s1 * s1.conj()).real + (sc * s2).real
         concave = curv < 0.0
         step = np.where(concave, grad / np.where(concave, -curv, 1.0),
-                        np.sign(grad) * width)
-        x_new = np.minimum(np.maximum(x + step, lo), hi)
-        if (n_step == _NEWTON_MAX_STEPS - 1
-                or np.all(np.abs(x_new - x) <= rel_tol * width)):
+                        np.sign(grad) * width[live])
+        x_new = np.minimum(np.maximum(xl + step, lo[live]), hi[live])
+        moving = np.abs(x_new - xl) > rel_tol * width[live]
+        live = live[moving]
+        if live.size == 0:
             break
-        x = x_new
-    p = s.real * s.real + s.imag * s.imag
+        x[live] = x_new[moving]
     return np.where(p >= p0, x, x0)

@@ -32,7 +32,7 @@ from .errors import (
     SingularityError,
 )
 from .grids import SampleGrid, write_cells_csv
-from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, active_subcarriers
+from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, grid_constants
 
 
 class TargetKind(enum.Enum):
@@ -86,7 +86,11 @@ def wavelength_m(f_c_hz: float) -> float:
 
 
 def path_loss_gain(lambda_m: float, sigma_rcs_m2: float, r0_m: float) -> float:
-    """Two-way radar power gain lambda^2 * sigma / (64 pi^3 R^4)."""
+    """Two-way radar power gain lambda^2 * sigma / (64 pi^3 R^4).
+
+    A range whose fourth power is beyond float range gives 0.0, the gain
+    such a range underflows to, rather than an OverflowError.
+    """
     if r0_m <= 0:
         raise SingularityError(f"range must be positive, got {r0_m}")
     if lambda_m <= 0 or sigma_rcs_m2 <= 0:
@@ -94,7 +98,11 @@ def path_loss_gain(lambda_m: float, sigma_rcs_m2: float, r0_m: float) -> float:
             f"wavelength and cross section must be positive, "
             f"got {lambda_m} and {sigma_rcs_m2}"
         )
-    return lambda_m * lambda_m * sigma_rcs_m2 / (64.0 * np.pi**3 * r0_m**4)
+    try:
+        r4 = r0_m**4
+    except OverflowError:
+        return 0.0
+    return lambda_m * lambda_m * sigma_rcs_m2 / (64.0 * np.pi**3 * r4)
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,7 @@ def _synth(cfg: OfdmConfig, scenario: Scenario, frame: FrameSymbols,
            gain: ChannelGain, f_cfo_hz: float) -> SampleGrid:
     tau0 = 2.0 * scenario.r0_m / C_LIGHT
     y = _kernels.synth_grid(
-        frame.x, active_subcarriers(cfg),
+        frame.x, cfg.cached(grid_constants).k_idx,
         cfg.n_fft, cfg.m_symbols, cfg.delta_f_hz, cfg.t_sym_s,
         gain.h_eff, tau0, scenario.v_mps, f_cfo_hz, cfg.f_c_hz, C_LIGHT,
     )

@@ -25,8 +25,10 @@ from .configio import (
 )
 from .errors import ConfigurationError, OfdmJrcError
 from .grids import write_cells_csv
-from .montecarlo import roc_sweep, run_trial, write_roc_csv
-# Bound under this name too, because perfbench's traced export run wraps it.
+from .montecarlo import roc_sweep, run_trial_with_grids, write_roc_csv
+# perfbench's traced export run wraps these names in this module; simulate
+# gets its record and grids from run_trial_with_grids in one pass.
+from .montecarlo import run_trial
 from .montecarlo import trial_grids as _pipeline_grids
 from .rdmap import range_doppler_map, resolution_summary, write_rdmap_csv
 from .svgplot import parse_roc_csv, render_roc_svg
@@ -95,9 +97,10 @@ def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> int:
         cfg = ofdm_config_from(cfg_map)
         scenario = scenario_from(cfg_map, seed=seed)
         mode = detector_mode_from(cfg_map)
-        rec = run_trial(cfg, scenario, genie=False, mode=mode,
-                        cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
-                        gamma_prime=cfg_map["detector.gamma_prime"])
+        rec, grids = run_trial_with_grids(
+            cfg, scenario, genie=False, mode=mode,
+            cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
+            gamma_prime=cfg_map["detector.gamma_prime"])
         os.makedirs(out_dir, exist_ok=True)
         outputs = []
         trial_path = os.path.join(out_dir, "trial.json")
@@ -106,7 +109,9 @@ def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> int:
             fh.write("\n")
         outputs.append(trial_path)
         if cfg_map["io.dump_grids"]:
-            frame, noisy, fg = _pipeline_grids(cfg, scenario)
+            if grids is None:
+                return _fail(rec.error, 3)
+            frame, noisy, fg = grids
             frame_path = os.path.join(out_dir, "frame.csv")
             write_frame_csv(frame_path, frame, active_subcarriers(cfg))
             grid_csv = os.path.join(out_dir, "sample_grid.csv")

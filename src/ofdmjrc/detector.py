@@ -14,12 +14,17 @@ phase is uniformly random. The "real_part" mode uses
 Re(u1^H z) - Re(u0^H z); it presumes the gain is known, positive, and
 real, and is kept for comparison only. Larger statistic favors the
 real-target hypothesis in both modes.
+
+synth_templates and glrt_statistic also take the estimates and grids of
+several trials at once and return one row per trial; each row is bit
+for bit what that trial gets alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +32,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigurationError, EstimationSetupError, PipelineError
 from .estimator import Estimates
-from .waveform import C_LIGHT, OfdmConfig, active_subcarriers
+from .waveform import C_LIGHT, OfdmConfig, grid_constants
 
 MODE_AMPLITUDE = "amplitude"
 MODE_REAL_PART = "real_part"
@@ -41,7 +46,7 @@ class Decision(enum.Enum):
 
 @dataclass(frozen=True)
 class TemplatePair:
-    """Unit-norm hypothesis templates over the vectorized grid z[k + m*K]."""
+    """Unit-norm hypothesis templates over the vectorized grid z[..., k + m*K]."""
 
     u0: np.ndarray
     u1: np.ndarray
@@ -57,63 +62,75 @@ class GlrtOutcome:
     mode: str
 
 
-def _template(cfg: OfdmConfig, r0_m: float, v_mps: float,
-              f_cfo_hz: float) -> np.ndarray:
-    """Unit-norm phase template for one hypothesis, ordering z[k + m*K].
+def _templates(cfg: OfdmConfig, r0_m, v_mps, f_cfo_hz) -> np.ndarray:
+    """Unit-norm phase templates, one row per entry of the parameter
+    vectors, ordering z[k + m*K].
 
     Element (k, m) carries e^{j2pi(k delta_f(-tau + (2v/c) m t_sym) + f_slow m t_sym)}
     with tau = 2 r0/c and f_slow the slow-time frequency used by the
     channel synthesizer, so a noiseless grid with matching parameters is
     exactly collinear with its template.
     """
-    k = active_subcarriers(cfg).astype(np.float64) * cfg.delta_f_hz
-    m_t = np.arange(cfg.m_symbols, dtype=np.float64) * cfg.t_sym_s
+    consts = cfg.cached(grid_constants)
+    m_t = consts.m_t_s
+    r0_m, v_mps, f_cfo_hz = (np.asarray(a, dtype=np.float64)[:, None]
+                             for a in (r0_m, v_mps, f_cfo_hz))
     tau = 2.0 * r0_m / C_LIGHT
     f_slow = _kernels._slow_time_freq(cfg.f_c_hz, f_cfo_hz, v_mps, C_LIGHT)
     two_v_c = 2.0 * v_mps / C_LIGHT
-    phase = (np.outer(k, two_v_c * m_t - tau)
-             + (f_slow * m_t)[None, :])
-    u = np.exp(2j * np.pi * phase).flatten(order="F")
-    return u / np.linalg.norm(u)
+    phase = (consts.k_hz * (two_v_c * m_t - tau)[:, :, None]
+             + (f_slow * m_t)[:, :, None])  # [n, m, k]
+    u = np.exp(2j * np.pi * phase).reshape(phase.shape[0], -1)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
 
-def synth_templates(cfg: OfdmConfig, est0: Estimates,
-                    est1: Estimates) -> TemplatePair:
+def synth_templates(cfg: OfdmConfig, est0, est1) -> TemplatePair:
     """Rebuild both hypothesis templates from their estimates.
 
     est0 must carry an offset estimate; est1's offset is pinned to zero
     regardless of its fields. Identical geometry with a zero offset in
-    est0 yields element-wise identical templates.
+    est0 yields element-wise identical templates. est0 and est1 may also
+    be equal-length sequences of Estimates, one pair per trial; the
+    templates then carry a leading trial axis.
     """
-    if est0.f_cfo_hat_hz is None:
+    batch = isinstance(est0, Sequence)
+    e0s, e1s = (est0, est1) if batch else ([est0], [est1])
+    if any(e.f_cfo_hat_hz is None for e in e0s):
         raise EstimationSetupError(
             "false-target estimates must carry an offset estimate"
         )
-    u1 = _template(cfg, est1.r0_hat_m, est1.v_hat_mps, 0.0)
-    u0 = _template(cfg, est0.r0_hat_m, est0.v_hat_mps, est0.f_cfo_hat_hz)
-    return TemplatePair(u0=u0, u1=u1)
+    ests = [*e1s, *e0s]
+    u = _templates(cfg, [e.r0_hat_m for e in ests], [e.v_hat_mps for e in ests],
+                   [0.0] * len(e1s) + [e.f_cfo_hat_hz for e in e0s])
+    u1, u0 = u[:len(e1s)], u[len(e1s):]
+    return TemplatePair(u0=u0, u1=u1) if batch else TemplatePair(u0=u0[0], u1=u1[0])
 
 
 def glrt_statistic(z: np.ndarray, tp: TemplatePair,
-                   mode: str = MODE_AMPLITUDE) -> float:
+                   mode: str = MODE_AMPLITUDE):
     """Correlate z against both templates and difference the scores.
 
     amplitude: T = |u1^H z|^2 - |u0^H z|^2; real_part: T = Re(u1^H z) - Re(u0^H z).
+    A float for one grid z [n]; an array of one statistic per row for
+    stacked grids z [B, n].
     """
     if mode not in _MODES:
         raise ConfigurationError(f"unknown statistic mode {mode!r}; "
                                  f"expected one of {_MODES}")
     z = np.asarray(z)
-    if z.ndim != 1 or z.size != tp.u0.size or z.size != tp.u1.size:
+    if z.ndim not in (1, 2) or z.shape != tp.u0.shape or z.shape != tp.u1.shape:
         raise PipelineError(
-            f"vectorized grid length {z.shape} does not match templates "
-            f"({tp.u0.size}, {tp.u1.size})"
+            f"vectorized grid shape {z.shape} does not match templates "
+            f"{tp.u0.shape}, {tp.u1.shape}"
         )
-    c0 = np.vdot(tp.u0, z)
-    c1 = np.vdot(tp.u1, z)
+    c0 = (tp.u0.conj() * z).sum(axis=-1)
+    c1 = (tp.u1.conj() * z).sum(axis=-1)
     if mode == MODE_AMPLITUDE:
-        return float(abs(c1) ** 2 - abs(c0) ** 2)
-    return float(c1.real - c0.real)
+        t = (c1.real * c1.real + c1.imag * c1.imag
+             - (c0.real * c0.real + c0.imag * c0.imag))
+    else:
+        t = c1.real - c0.real
+    return float(t) if z.ndim == 1 else t
 
 
 def decide(t_stat: float, gamma_prime: float,

@@ -16,17 +16,21 @@ Velocity is identified almost entirely by the Doppler rows: the delay
 slope per symbol, 2*v*t_sym/c, is around 2e-13 s at vehicular speeds,
 far below the delay refinement accuracy. The column scaling inside the
 solver keeps this disparity from poisoning the factorization.
+
+The designs depend on the configuration alone, so build_design_matrices
+factors each one once per config: its condition number and its
+column-scaled pseudo-inverse are kept, and each fit is then a matvec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EstimationSetupError, IllConditionedError
 from .rdmap import PeakObservations
-from .waveform import C_LIGHT, OfdmConfig, active_subcarriers
+from .waveform import C_LIGHT, OfdmConfig, grid_constants
 
 COND_LIMIT = 1.0e12
 
@@ -54,18 +58,57 @@ class ObservationVector:
         return cls(f=f, n_delay=int(d.size), n_doppler=int(p.size))
 
 
+class ScaledLs:
+    """Column-scaled least squares for one design matrix, factored once.
+
+    Columns are scaled to unit max magnitude before factoring, so the
+    condition number reflects geometry, not the huge unit disparity
+    between seconds and hertz. solve raises IllConditionedError, carrying
+    the number, when the scaled condition number is above COND_LIMIT
+    (including zero columns); otherwise it applies the scaled
+    pseudo-inverse and recomputes the residual from the unscaled system.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = np.asarray(a, dtype=np.float64)
+        scale = np.max(np.abs(self.a), axis=0)
+        self.scale = np.where(scale > 0.0, scale, 1.0)
+        a_s = self.a / self.scale
+        self.cond = float(np.linalg.cond(a_s))
+        self.pinv = np.linalg.pinv(a_s)
+
+    def solve(self, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """(theta, residual 2-norm) for observations f."""
+        if not np.isfinite(self.cond) or self.cond > COND_LIMIT:
+            raise IllConditionedError(
+                f"scaled design condition number {self.cond:.3e} exceeds "
+                f"{COND_LIMIT:.0e}",
+                condition=self.cond,
+            )
+        theta = (self.pinv @ f) / self.scale
+        resid = f - self.a @ theta
+        return theta, float(np.linalg.norm(resid))
+
+
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Columns of the stacked linear model.
+    """Columns of the stacked linear model, with each fit's solver.
 
     a2: [n_obs, 2] geometry block (range column, velocity column).
     a1: [n_obs] offset indicator, zero on delay rows, one on Doppler rows.
         The velocity-offset cross term it omits is below 1e-3 Hz for
         vehicular speeds and plausible offsets, and is ignored throughout.
+    h0, h1: ScaledLs of h0_matrix() and h1_matrix().
     """
 
     a2: np.ndarray
     a1: np.ndarray
+    h0: ScaledLs = field(init=False, repr=False, compare=False)
+    h1: ScaledLs = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "h0", ScaledLs(self.h0_matrix()))
+        object.__setattr__(self, "h1", ScaledLs(self.h1_matrix()))
 
     def h1_matrix(self) -> np.ndarray:
         """Design for the real-target fit (no offset column)."""
@@ -76,18 +119,13 @@ class DesignMatrices:
         return np.column_stack([self.a2, self.a1])
 
 
-def build_design_matrices(cfg: OfdmConfig) -> DesignMatrices:
-    """Design blocks for m_symbols delay rows plus k_active Doppler rows.
-
-    Delay rows: [2/c, -(2/c)*m*t_sym]; Doppler rows: [0, (2/c)*(f_c + k*delta_f)].
-    """
+def _design_matrices(cfg: OfdmConfig) -> DesignMatrices:
     if cfg.m_symbols < 2 or cfg.k_active < 2:
         raise EstimationSetupError(
             "need at least 2 symbols and 2 active subcarriers for full "
             f"column rank, got {cfg.m_symbols} and {cfg.k_active}"
         )
     m = np.arange(cfg.m_symbols, dtype=np.float64)
-    k = active_subcarriers(cfg).astype(np.float64)
     two_c = 2.0 / C_LIGHT
     delay_rows = np.column_stack([
         np.full(cfg.m_symbols, two_c),
@@ -95,22 +133,26 @@ def build_design_matrices(cfg: OfdmConfig) -> DesignMatrices:
     ])
     dopp_rows = np.column_stack([
         np.zeros(cfg.k_active),
-        two_c * (cfg.f_c_hz + k * cfg.delta_f_hz),
+        cfg.cached(grid_constants).v_coef,
     ])
     a2 = np.vstack([delay_rows, dopp_rows])
     a1 = np.concatenate([np.zeros(cfg.m_symbols), np.ones(cfg.k_active)])
     return DesignMatrices(a2=a2, a1=a1)
 
 
+def build_design_matrices(cfg: OfdmConfig) -> DesignMatrices:
+    """Design blocks for m_symbols delay rows plus k_active Doppler rows.
+
+    Delay rows: [2/c, -(2/c)*m*t_sym]; Doppler rows: [0, (2/c)*(f_c + k*delta_f)].
+    Built and factored once per config; later calls return the same object.
+    """
+    return cfg.cached(_design_matrices)
+
+
 def solve_linear_ls(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
     """Column-scaled least squares; returns (theta, residual 2-norm).
 
-    Columns are scaled to unit max magnitude before the orthogonal
-    factorization so the condition check reflects geometry, not the huge
-    unit disparity between seconds and hertz. A scaled condition number
-    above COND_LIMIT (including zero columns) raises IllConditionedError
-    carrying the number. The residual is recomputed from the unscaled
-    system.
+    See ScaledLs; this factors a for one solve.
     """
     a = np.asarray(a, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64).ravel()
@@ -122,19 +164,7 @@ def solve_linear_ls(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
         raise EstimationSetupError(
             f"underdetermined system: {a.shape[0]} rows for {a.shape[1]} params"
         )
-    scale = np.max(np.abs(a), axis=0)
-    safe = np.where(scale > 0.0, scale, 1.0)
-    a_s = a / safe
-    cond = float(np.linalg.cond(a_s))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError(
-            f"scaled design condition number {cond:.3e} exceeds {COND_LIMIT:.0e}",
-            condition=cond,
-        )
-    theta_s = np.linalg.lstsq(a_s, f, rcond=None)[0]
-    theta = theta_s / safe
-    resid = f - a @ theta
-    return theta, float(np.linalg.norm(resid))
+    return ScaledLs(a).solve(f)
 
 
 @dataclass(frozen=True)
@@ -164,7 +194,7 @@ def _check_lengths(obs: ObservationVector, dm: DesignMatrices) -> None:
 def estimate_h0(obs: ObservationVector, dm: DesignMatrices) -> Estimates:
     """Three-parameter fit [R, v, f_cfo] under the false-target hypothesis."""
     _check_lengths(obs, dm)
-    theta, rnorm = solve_linear_ls(dm.h0_matrix(), obs.f)
+    theta, rnorm = dm.h0.solve(obs.f)
     return Estimates(r0_hat_m=float(theta[0]), v_hat_mps=float(theta[1]),
                      f_cfo_hat_hz=float(theta[2]), residual_norm=rnorm,
                      hypothesis="h0")
@@ -173,7 +203,7 @@ def estimate_h0(obs: ObservationVector, dm: DesignMatrices) -> Estimates:
 def estimate_h1(obs: ObservationVector, dm: DesignMatrices) -> Estimates:
     """Two-parameter fit [R, v] under the real-target hypothesis (no offset)."""
     _check_lengths(obs, dm)
-    theta, rnorm = solve_linear_ls(dm.h1_matrix(), obs.f)
+    theta, rnorm = dm.h1.solve(obs.f)
     return Estimates(r0_hat_m=float(theta[0]), v_hat_mps=float(theta[1]),
                      f_cfo_hat_hz=None, residual_norm=rnorm,
                      hypothesis="h1")

@@ -1,5 +1,9 @@
 """Shared 2D sample containers passed between the synthesis and receiver
-stages, and the one CSV writer every grid export uses."""
+stages, and the one CSV writer every grid export uses.
+
+A container may carry leading axes in front of its two grid axes; the
+receiver stages use them to process the grids of several trials in one
+call."""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import numpy as np
 
 @dataclass(eq=False)
 class SampleGrid:
-    """Slow-time by fast-time baseband samples y[m, n].
+    """Slow-time by fast-time baseband samples y[..., m, n].
 
     ``sigma2`` records the variance of the complex noise actually
     injected into the grid, 0.0 for a noiseless grid.
@@ -21,41 +25,43 @@ class SampleGrid:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.complex128)
-        if self.y.ndim != 2:
-            raise ValueError("sample grid must be 2D (m_symbols x n_fft)")
+        if self.y.ndim < 2:
+            raise ValueError("sample grid must be [..., m_symbols, n_fft]")
         self.sigma2 = float(self.sigma2)
 
     @property
     def m_symbols(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-2]
 
     @property
     def n_fft(self) -> int:
-        return self.y.shape[1]
+        return self.y.shape[-1]
 
 
 @dataclass(eq=False)
 class FreqGrid:
-    """Active-subcarrier by slow-time samples after known-symbol removal."""
+    """Active-subcarrier by slow-time samples y_tilde[..., k, m] after
+    known-symbol removal."""
 
     y_tilde: np.ndarray
 
     def __post_init__(self):
         self.y_tilde = np.asarray(self.y_tilde, dtype=np.complex128)
-        if self.y_tilde.ndim != 2:
-            raise ValueError("frequency grid must be 2D (k_active x m_symbols)")
+        if self.y_tilde.ndim < 2:
+            raise ValueError("frequency grid must be [..., k_active, m_symbols]")
 
     @property
     def k_active(self) -> int:
-        return self.y_tilde.shape[0]
+        return self.y_tilde.shape[-2]
 
     @property
     def m_symbols(self) -> int:
-        return self.y_tilde.shape[1]
+        return self.y_tilde.shape[-1]
 
     def vectorized(self) -> np.ndarray:
-        """Flatten to z[k + m*K]: subcarrier index fastest, symbols stacked."""
-        return self.y_tilde.flatten(order="F")
+        """Flatten each grid to z[..., k + m*K]: subcarrier index fastest."""
+        y = self.y_tilde
+        return np.swapaxes(y, -1, -2).reshape(*y.shape[:-2], -1)
 
 
 def write_cells_csv(path, header: str, rows, cols, *planes) -> None:

@@ -7,6 +7,19 @@ statistic. Trials are pure functions of (config, scenario), with all
 randomness derived from scenario.seed, so any worker schedule produces
 identical results.
 
+Batches: run_batch runs several trials through one pass. Each trial
+draws its frame, channel and noise from its own three RNG substreams,
+and fits, conditions and decides on its own. The FFTs, symbol removal,
+peak extraction, templates and statistics run once per batch on a
+leading trial axis, using only operations whose per-trial bits do not
+depend on the rest of the batch, so every record is bit for bit what
+its scenario gets alone; run_trial is a batch of one. A trial that
+fails is recorded invalid with the message it gets alone, and the
+others in its batch are unaffected: if a batched stage raises, its
+trials rerun that stage one by one. roc_sweep cuts its trial list into
+batches of batch_size(cfg) by position, so the batches do not depend
+on the worker count either.
+
 Template conditioning: the raw fits are kept verbatim in the record,
 but the templates are built from conditioned copies. A false-target
 grid fitted under the real-target hypothesis absorbs the frequency
@@ -49,21 +62,31 @@ from .errors import ConfigurationError, OfdmJrcError
 from .estimator import (
     Estimates,
     ObservationVector,
+    ScaledLs,
     build_design_matrices,
     estimate_h0,
     estimate_h1,
-    solve_linear_ls,
 )
-from .rdmap import extract_peak_observations, fast_time_dft, remove_known_symbols
+from .grids import FreqGrid, SampleGrid
+from .rdmap import (
+    PeakObservations,
+    extract_peak_observations,
+    fast_time_dft,
+    remove_known_symbols,
+)
 from .waveform import (
     C_LIGHT,
+    FrameSymbols,
     OfdmConfig,
-    active_subcarriers,
     config_fingerprint,
     generate_frame,
+    grid_constants,
 )
 
 DEFAULT_CFO_FLOOR_HZ = 1.0
+# Complex values of zero-padded delay spectrum allowed per sweep batch
+# (see batch_size); it caps what a batch adds to peak memory at a few MB.
+_BATCH_VALUES = 1 << 16
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -137,10 +160,30 @@ def trial_seed(master_seed: int, snr_idx: int, kind_idx: int,
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def batch_size(cfg: OfdmConfig) -> int:
+    """Trials per run_batch call in a sweep: the most whose zero-padded
+    delay spectra, B * m_symbols * n_fft * zero_pad complex values, fit
+    in _BATCH_VALUES."""
+    return max(1, _BATCH_VALUES // (cfg.m_symbols * cfg.n_fft * cfg.zero_pad))
+
+
 def _refit_range(cfg: OfdmConfig, delay_obs: np.ndarray, v_mps: float) -> float:
     """Range from the delay rows alone, given a fixed velocity."""
-    m_t = np.arange(cfg.m_symbols, dtype=np.float64) * cfg.t_sym_s
+    m_t = cfg.cached(grid_constants).m_t_s
     return float(0.5 * C_LIGHT * np.mean(delay_obs + (2.0 * v_mps / C_LIGHT) * m_t))
+
+
+def _genie_solver(cfg: OfdmConfig, f_cfo_hz: float) -> ScaledLs:
+    """Geometry fit [R, v] with the offset known exactly, including the
+    otherwise-dropped velocity-offset cross term in the v column."""
+    m = np.arange(cfg.m_symbols, dtype=np.float64)
+    k_hz = cfg.cached(grid_constants).k_hz
+    two_c = 2.0 / C_LIGHT
+    a = np.zeros((cfg.m_symbols + cfg.k_active, 2))
+    a[:cfg.m_symbols, 0] = two_c
+    a[:cfg.m_symbols, 1] = -two_c * m * cfg.t_sym_s
+    a[cfg.m_symbols:, 1] = two_c * (cfg.f_c_hz + f_cfo_hz + k_hz)
+    return ScaledLs(a)
 
 
 def _condition_estimates(cfg: OfdmConfig, obs: ObservationVector,
@@ -161,9 +204,7 @@ def _condition_estimates(cfg: OfdmConfig, obs: ObservationVector,
     if genie:
         f_t = float(scenario.f_cfo_hz)
     else:
-        k = active_subcarriers(cfg).astype(np.float64)
-        v_coef = (2.0 / C_LIGHT) * (cfg.f_c_hz + k * cfg.delta_f_hz)
-        resid = dopp_obs - v1t * v_coef
+        resid = dopp_obs - v1t * cfg.cached(grid_constants).v_coef
         f_t = float(np.mean(resid) / (1.0 + 2.0 * v1t / C_LIGHT))
         if abs(f_t) < cfo_floor_hz:
             f_t = 0.0
@@ -173,18 +214,9 @@ def _condition_estimates(cfg: OfdmConfig, obs: ObservationVector,
         return est0_t, est1_t
 
     if genie:
-        # Re-solve geometry with the offset known exactly, including the
-        # otherwise-dropped velocity-offset cross term in the v column.
-        m = np.arange(cfg.m_symbols, dtype=np.float64)
-        k = active_subcarriers(cfg).astype(np.float64)
-        two_c = 2.0 / C_LIGHT
-        a = np.zeros((obs.n_delay + obs.n_doppler, 2))
-        a[:obs.n_delay, 0] = two_c
-        a[:obs.n_delay, 1] = -two_c * m * cfg.t_sym_s
-        a[obs.n_delay:, 1] = two_c * (cfg.f_c_hz + f_t + k * cfg.delta_f_hz)
         rhs = obs.f.copy()
         rhs[obs.n_delay:] -= f_t
-        theta, _ = solve_linear_ls(a, rhs)
+        theta, _ = cfg.cached(_genie_solver, f_t).solve(rhs)
         v0t = float(np.clip(theta[1], -cfg.v_max_mps, cfg.v_max_mps))
         if v0t != theta[1]:
             r0t = _refit_range(cfg, delay_obs, v0t)
@@ -196,13 +228,9 @@ def _condition_estimates(cfg: OfdmConfig, obs: ObservationVector,
     return est0_t, est1_t
 
 
-def trial_grids(cfg: OfdmConfig, scenario: Scenario):
-    """Frame, noisy sample grid and symbol-removed grid of one trial.
-
-    The front half of the pipeline, from the three RNG substreams of
-    scenario.seed to known-symbol removal; run_trial and the CLI exports
-    both call it, so an export shows the grids a trial scores.
-    """
+def _front_half(cfg: OfdmConfig, scenario: Scenario):
+    """Frame and noisy sample grid of one trial, from its own three RNG
+    substreams of scenario.seed."""
     frame_ss, gain_ss, noise_ss = np.random.SeedSequence(scenario.seed).spawn(3)
     frame = generate_frame(cfg, np.random.default_rng(frame_ss))
     big_g = path_loss_gain(wavelength_m(cfg.f_c_hz),
@@ -210,54 +238,161 @@ def trial_grids(cfg: OfdmConfig, scenario: Scenario):
     gain = draw_channel_gain(big_g, scenario, cfg,
                              np.random.default_rng(gain_ss))
     grid = synth_target(cfg, scenario, frame, gain)
-    noisy = add_awgn(grid, scenario.snr_db, np.random.default_rng(noise_ss))
-    fg = remove_known_symbols(fast_time_dft(noisy, cfg), frame)
-    return frame, noisy, fg
+    return frame, add_awgn(grid, scenario.snr_db, np.random.default_rng(noise_ss))
+
+
+def trial_grids(cfg: OfdmConfig, scenario: Scenario):
+    """Frame, noisy sample grid and symbol-removed grid of one trial.
+
+    The grids run_batch scores for this scenario, bit for bit, without
+    scoring them; the rdmap export uses it.
+    """
+    frame, noisy = _front_half(cfg, scenario)
+    return frame, noisy, remove_known_symbols(fast_time_dft(noisy, cfg), frame)
+
+
+def _advance(results: list, stage, *args) -> list:
+    """Run a batched stage on the entries of results that hold no
+    exception yet, replacing each by its output.
+
+    stage(entries, *args) returns one output per entry, an exception for
+    a trial it failed. If the batched call raises, each entry runs
+    alone, so the error lands on the trial it belongs to, with the
+    message that trial gets alone.
+    """
+    live = [i for i, r in enumerate(results) if not isinstance(r, Exception)]
+    if live:
+        try:
+            outs = stage([results[i] for i in live], *args)
+        except OfdmJrcError as exc:
+            outs = ([exc] if len(live) == 1 else
+                    [_advance([results[i]], stage, *args)[0] for i in live])
+        for i, out in zip(live, outs):
+            results[i] = out
+    return results
+
+
+def _remove_symbols(items, cfg):
+    """(scenario, frame, noisy) -> (scenario, frame, noisy, fg), with one
+    FFT and one symbol removal for the whole batch."""
+    frames = FrameSymbols(x=np.stack([frame.x for _, frame, _ in items]))
+    noisy = SampleGrid(y=np.stack([grid.y for _, _, grid in items]))
+    y_tilde = remove_known_symbols(fast_time_dft(noisy, cfg), frames).y_tilde
+    return [(*item, FreqGrid(y_tilde=y)) for item, y in zip(items, y_tilde)]
+
+
+def _score(items, cfg, genie, mode, cfo_floor_hz, gamma_prime):
+    """(scenario, frame, noisy, fg) -> (est0, est1, t_stat, outcome):
+    batched peaks, per-trial fits and conditioning, batched templates
+    and statistics, per-trial decisions."""
+    fg = FreqGrid(y_tilde=np.stack([item[3].y_tilde for item in items]))
+    peaks = extract_peak_observations(fg, cfg)
+    dm = build_design_matrices(cfg)
+    out: list = []
+    fits = []  # (item index, est0, est1, est0_t, est1_t)
+    for i, item in enumerate(items):
+        try:
+            obs = ObservationVector.from_peaks(PeakObservations(
+                delay_obs_s=peaks.delay_obs_s[i], dopp_obs_hz=peaks.dopp_obs_hz[i]))
+            est0 = estimate_h0(obs, dm)
+            est1 = estimate_h1(obs, dm)
+            fits.append((i, est0, est1, *_condition_estimates(
+                cfg, obs, est0, est1, item[0], genie, cfo_floor_hz)))
+            out.append(None)
+        except OfdmJrcError as exc:
+            out.append(exc)
+    if not fits:
+        return out
+    rows, est0s, est1s, est0_ts, est1_ts = zip(*fits)
+    tp = synth_templates(cfg, est0_ts, est1_ts)
+    t_stats = glrt_statistic(fg.vectorized()[list(rows)], tp, mode)
+    for i, est0, est1, t in zip(rows, est0s, est1s, t_stats.tolist()):
+        try:
+            out[i] = (est0, est1, t, decide(t, gamma_prime, mode))
+        except OfdmJrcError as exc:
+            out[i] = exc
+    return out
+
+
+def _record(scenario: Scenario, genie: bool, result) -> TrialRecord:
+    if isinstance(result, Exception):
+        return TrialRecord(scenario=scenario, genie=genie, truth=scenario.kind,
+                           seed=scenario.seed, est0=None, est1=None,
+                           t_stat=float("nan"), outcome=None,
+                           valid=False, error=str(result))
+    est0, est1, t_stat, outcome = result
+    return TrialRecord(scenario=scenario, genie=genie, truth=scenario.kind,
+                       seed=scenario.seed, est0=est0, est1=est1,
+                       t_stat=t_stat, outcome=outcome)
+
+
+def _run_batch(cfg, scenarios, genie, mode, cfo_floor_hz, gamma_prime):
+    """run_batch's records, plus each trial's (frame, noisy, fg), or None
+    for a trial that failed before its symbol-removed grid existed."""
+    results: list = []
+    for scenario in scenarios:
+        try:
+            results.append((scenario, *_front_half(cfg, scenario)))
+        except OfdmJrcError as exc:
+            results.append(exc)
+    _advance(results, _remove_symbols, cfg)
+    grids = [None if isinstance(r, Exception) else r[1:] for r in results]
+    _advance(results, _score, cfg, genie, mode, cfo_floor_hz, gamma_prime)
+    return [_record(sc, genie, r) for sc, r in zip(scenarios, results)], grids
+
+
+def run_batch(cfg: OfdmConfig, scenarios, genie: bool = False,
+              mode: str = MODE_AMPLITUDE,
+              cfo_floor_hz: float = DEFAULT_CFO_FLOOR_HZ,
+              gamma_prime: float = 0.0) -> list[TrialRecord]:
+    """Run the full pipeline once per scenario; one record each, in order.
+
+    Each record is bit for bit what the scenario gets in a batch of its
+    own. Pipeline failures (ill-conditioned fits, missing peaks,
+    calibration problems) are caught and recorded as an invalid trial
+    rather than raised, and never touch the other trials of the batch.
+    """
+    return _run_batch(cfg, list(scenarios), genie, mode, cfo_floor_hz,
+                      gamma_prime)[0]
 
 
 def run_trial(cfg: OfdmConfig, scenario: Scenario, genie: bool = False,
               mode: str = MODE_AMPLITUDE,
               cfo_floor_hz: float = DEFAULT_CFO_FLOOR_HZ,
               gamma_prime: float = 0.0) -> TrialRecord:
-    """Run the full pipeline once; deterministic in (cfg, scenario).
-
-    Pipeline failures (ill-conditioned fits, missing peaks, calibration
-    problems) are caught and recorded as an invalid trial rather than
-    raised, so sweeps can account for them without dying.
-    """
-    try:
-        _, _, fg = trial_grids(cfg, scenario)
-        peaks = extract_peak_observations(fg, cfg)
-        obs = ObservationVector.from_peaks(peaks)
-        dm = build_design_matrices(cfg)
-        est0 = estimate_h0(obs, dm)
-        est1 = estimate_h1(obs, dm)
-        est0_t, est1_t = _condition_estimates(cfg, obs, est0, est1,
-                                              scenario, genie, cfo_floor_hz)
-        tp = synth_templates(cfg, est0_t, est1_t)
-        t_stat = glrt_statistic(fg.vectorized(), tp, mode)
-        outcome = decide(t_stat, gamma_prime, mode)
-    except OfdmJrcError as exc:
-        return TrialRecord(scenario=scenario, genie=genie, truth=scenario.kind,
-                           seed=scenario.seed, est0=None, est1=None,
-                           t_stat=float("nan"), outcome=None,
-                           valid=False, error=str(exc))
-    return TrialRecord(scenario=scenario, genie=genie, truth=scenario.kind,
-                       seed=scenario.seed, est0=est0, est1=est1,
-                       t_stat=t_stat, outcome=outcome)
+    """Run the full pipeline once: run_batch on a batch of one."""
+    return run_batch(cfg, [scenario], genie, mode, cfo_floor_hz, gamma_prime)[0]
 
 
-def _trial_task(args) -> TrialRecord:
-    cfg, scenario, genie, mode, cfo_floor_hz = args
-    return run_trial(cfg, scenario, genie, mode, cfo_floor_hz)
+def run_trial_with_grids(cfg: OfdmConfig, scenario: Scenario,
+                         genie: bool = False, mode: str = MODE_AMPLITUDE,
+                         cfo_floor_hz: float = DEFAULT_CFO_FLOOR_HZ,
+                         gamma_prime: float = 0.0):
+    """run_trial's record and the (frame, noisy, fg) it scored, from one
+    pass; the grids are None when the trial failed before fg existed."""
+    records, grids = _run_batch(cfg, [scenario], genie, mode, cfo_floor_hz,
+                                gamma_prime)
+    return records[0], grids[0]
 
 
-def _run_many(tasks, workers: int) -> list[TrialRecord]:
-    if workers <= 1 or len(tasks) <= 1:
-        return [_trial_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_task, tasks, chunksize=chunk))
+def _batch_task(args) -> list[TrialRecord]:
+    return run_batch(*args)
+
+
+def _run_many(cfg: OfdmConfig, scenarios, genie: bool, mode: str,
+              cfo_floor_hz: float, workers: int) -> list[TrialRecord]:
+    """Records of every scenario, run in chunks of batch_size(cfg) cut by
+    position, so the batches never depend on the worker count."""
+    size = batch_size(cfg)
+    chunks = [(cfg, scenarios[i:i + size], genie, mode, cfo_floor_hz)
+              for i in range(0, len(scenarios), size)]
+    if workers <= 1 or len(chunks) <= 1:
+        batches = [_batch_task(c) for c in chunks]
+    else:
+        per_call = max(1, len(chunks) // (workers * 4))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_batch_task, chunks, chunksize=per_call))
+    return [rec for batch in batches for rec in batch]
 
 
 def auto_gamma_grid(t_stats: np.ndarray, n_per_side: int = 39) -> np.ndarray:
@@ -305,17 +440,16 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
     if base_scenario is None:
         base_scenario = Scenario(kind=TargetKind.FALSE_TARGET)
 
-    tasks = []
+    scenarios = []
     for snr_idx, snr in enumerate(snr_db_list):
         for kind_idx, kind in enumerate((TargetKind.FALSE_TARGET,
                                          TargetKind.REAL_TARGET)):
             f_cfo = base_scenario.f_cfo_hz if kind is TargetKind.FALSE_TARGET else 0.0
             for trial_idx in range(n_trials):
                 seed = trial_seed(master_seed, snr_idx, kind_idx, trial_idx)
-                sc = replace(base_scenario, kind=kind, f_cfo_hz=f_cfo,
-                             snr_db=snr, seed=seed)
-                tasks.append((cfg, sc, genie, mode, cfo_floor_hz))
-    records = _run_many(tasks, workers)
+                scenarios.append(replace(base_scenario, kind=kind,
+                                         f_cfo_hz=f_cfo, snr_db=snr, seed=seed))
+    records = _run_many(cfg, scenarios, genie, mode, cfo_floor_hz, workers)
 
     curves = []
     cfg_hash = config_fingerprint(cfg)

@@ -11,6 +11,10 @@ carrier frequency offset: dopp_obs[k] = (2v/c)*(f_c + k*delta_f) plus
 the offset. Coarse peaks come from zero-padded transforms; Newton
 steps on the exact tone objective refine each peak well below one
 padded bin.
+
+fast_time_dft, remove_known_symbols and extract_peak_observations also
+take grids with leading axes that stack several trials; each trial's
+result is bit for bit what it gets alone.
 """
 
 from __future__ import annotations
@@ -22,21 +26,21 @@ import numpy as np
 from . import _kernels
 from .errors import DivisionGuardError, NoPeakError, PipelineError
 from .grids import FreqGrid, SampleGrid, write_cells_csv
-from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, active_subcarriers
+from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, grid_constants
 
 _DIVISION_FLOOR = 1.0e-6
 
 
 def fast_time_dft(grid: SampleGrid, cfg: OfdmConfig) -> np.ndarray:
-    """Unitary DFT across each symbol, keeping only active bins, shape [k, m]."""
-    if grid.y.shape != (cfg.m_symbols, cfg.n_fft):
+    """Unitary DFT across each symbol, keeping only active bins, shape [..., k, m]."""
+    if grid.y.shape[-2:] != (cfg.m_symbols, cfg.n_fft):
         raise PipelineError(
             f"sample grid {grid.y.shape} does not match the configuration "
             f"({cfg.m_symbols}, {cfg.n_fft})"
         )
-    spectrum = np.fft.fft(grid.y, axis=1, norm="ortho")
-    cols = active_subcarriers(cfg) % cfg.n_fft
-    return spectrum[:, cols].T
+    spectrum = np.fft.fft(grid.y, axis=-1, norm="ortho")
+    cols = cfg.cached(grid_constants).k_idx % cfg.n_fft
+    return np.swapaxes(spectrum[..., cols], -1, -2)
 
 
 def remove_known_symbols(y_f: np.ndarray, frame: FrameSymbols) -> FreqGrid:
@@ -60,18 +64,18 @@ def remove_known_symbols(y_f: np.ndarray, frame: FrameSymbols) -> FreqGrid:
 
 
 def _delay_spectrum(cfg: OfdmConfig, y_tilde: np.ndarray) -> np.ndarray:
-    """Zero-padded delay profiles, shape [Ld, m]; bin d maps to d/(Ld*delta_f)."""
+    """Zero-padded delay profiles, shape [..., Ld, m]; bin d maps to d/(Ld*delta_f)."""
     ld = cfg.n_fft * cfg.zero_pad
-    buf = np.zeros((ld, y_tilde.shape[1]), dtype=np.complex128)
-    buf[active_subcarriers(cfg) % ld, :] = y_tilde
-    return np.fft.ifft(buf, axis=0, norm="forward")
+    buf = np.zeros((*y_tilde.shape[:-2], ld, y_tilde.shape[-1]),
+                   dtype=np.complex128)
+    buf[..., cfg.cached(grid_constants).k_idx % ld, :] = y_tilde
+    return np.fft.ifft(buf, axis=-2, norm="forward")
 
 
 def _doppler_spectrum(cfg: OfdmConfig, rows: np.ndarray) -> np.ndarray:
-    """Zero-padded slow-time spectra along the last axis, centered on zero."""
-    lm = cfg.m_symbols * cfg.zero_pad
-    spectrum = np.fft.fft(rows, n=lm, axis=-1)
-    return np.fft.fftshift(spectrum, axes=-1)
+    """Zero-padded slow-time spectra along the last axis, unshifted: bin o
+    maps to grid_constants(cfg).doppler_hz[o]."""
+    return np.fft.fft(rows, n=cfg.m_symbols * cfg.zero_pad, axis=-1)
 
 
 def delay_axis_s(cfg: OfdmConfig) -> np.ndarray:
@@ -106,7 +110,7 @@ def range_doppler_map(fg: FreqGrid, cfg: OfdmConfig) -> RangeDopplerMap:
     interval [-1/(2*t_sym), +1/(2*t_sym)).
     """
     delayed = _delay_spectrum(cfg, fg.y_tilde)
-    surface = _doppler_spectrum(cfg, delayed)
+    surface = np.fft.fftshift(_doppler_spectrum(cfg, delayed), axes=-1)
     return RangeDopplerMap(magnitudes=np.abs(surface),
                            delay_axis_s=delay_axis_s(cfg),
                            doppler_axis_hz=doppler_axis_hz(cfg),
@@ -115,7 +119,8 @@ def range_doppler_map(fg: FreqGrid, cfg: OfdmConfig) -> RangeDopplerMap:
 
 @dataclass(frozen=True)
 class PeakObservations:
-    """Refined per-symbol delays [m_symbols] (s) and per-subcarrier Dopplers [k_active] (Hz)."""
+    """Refined per-symbol delays [..., m_symbols] (s) and per-subcarrier
+    Dopplers [..., k_active] (Hz)."""
 
     delay_obs_s: np.ndarray
     dopp_obs_hz: np.ndarray
@@ -130,32 +135,32 @@ def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations
     |sum_m y_tilde[k,m] e^{-j2pi f m t_sym}| over f. Both objectives are
     periodic (1/delta_f in tau, 1/t_sym in f), so refined values are
     wrapped back into the principal intervals [0, 1/delta_f) and
-    [-1/(2 t_sym), +1/(2 t_sym)).
+    [-1/(2 t_sym), +1/(2 t_sym)). The delay rows of every stacked grid
+    go through one refine_tones call, and so do the Doppler rows.
     """
     y_tilde = fg.y_tilde
-    if not np.any(np.abs(y_tilde) > 0.0):
+    if not np.all(np.any(np.abs(y_tilde) > 0.0, axis=(-2, -1))):
         raise NoPeakError("grid is identically zero; no peak to extract")
-
-    k_idx = active_subcarriers(cfg).astype(np.float64)
+    consts = cfg.cached(grid_constants)
+    k, m = y_tilde.shape[-2:]
 
     ld = cfg.n_fft * cfg.zero_pad
-    d0 = np.argmax(np.abs(_delay_spectrum(cfg, y_tilde)), axis=0)
-    x0 = d0.astype(np.float64) / (ld * cfg.delta_f_hz)
+    d0 = np.argmax(np.abs(_delay_spectrum(cfg, y_tilde)), axis=-2)
+    x0 = d0.ravel() / (ld * cfg.delta_f_hz)
     half = np.full(x0.shape, 1.0 / (ld * cfg.delta_f_hz))
-    delays = _kernels.refine_tones(y_tilde.T, k_idx * cfg.delta_f_hz, 1.0,
-                                   x0, half, cfg.peak_refine_tol)
-    delays = np.mod(delays, cfg.t_sym_s)
+    delays = _kernels.refine_tones(np.swapaxes(y_tilde, -1, -2).reshape(-1, k),
+                                   consts.k_hz, 1.0, x0, half,
+                                   cfg.peak_refine_tol)
+    delays = np.mod(delays, cfg.t_sym_s).reshape(d0.shape)
 
     lm = cfg.m_symbols * cfg.zero_pad
-    axis = doppler_axis_hz(cfg)
     o0 = np.argmax(np.abs(_doppler_spectrum(cfg, y_tilde)), axis=-1)
-    f0 = axis[o0]
+    f0 = consts.doppler_hz[o0.ravel()]
     half_f = np.full(f0.shape, 1.0 / (lm * cfg.t_sym_s))
-    m_coef = np.arange(cfg.m_symbols, dtype=np.float64) * cfg.t_sym_s
-    dopps = _kernels.refine_tones(y_tilde, m_coef, -1.0, f0, half_f,
-                                  cfg.peak_refine_tol)
+    dopps = _kernels.refine_tones(y_tilde.reshape(-1, m), consts.m_t_s, -1.0,
+                                  f0, half_f, cfg.peak_refine_tol)
     span = 1.0 / cfg.t_sym_s
-    dopps = np.mod(dopps + span / 2.0, span) - span / 2.0
+    dopps = (np.mod(dopps + span / 2.0, span) - span / 2.0).reshape(o0.shape)
 
     return PeakObservations(delay_obs_s=delays, dopp_obs_hz=dopps)
 

@@ -53,6 +53,19 @@ class OfdmConfig:
         """Symbol duration 1/delta_f (no cyclic prefix in this model)."""
         return 1.0 / self.delta_f_hz
 
+    def cached(self, build, *args):
+        """build(self, *args), computed on first use and kept on this config.
+
+        For values that depend on the configuration (and args) alone: the
+        config is frozen, so they never go stale. Callers must not modify
+        what it returns.
+        """
+        store = self.__dict__.setdefault("_cached", {})
+        key = (build, *args)
+        if key not in store:
+            store[key] = build(self, *args)
+        return store[key]
+
 
 def build_config(**kwargs) -> OfdmConfig:
     """Construct and validate an OfdmConfig, raising ConfigurationError.
@@ -125,11 +138,39 @@ def pilot_subcarriers(cfg: OfdmConfig) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class GridConstants:
+    """Per-config arrays the trial path reads; see grid_constants."""
+
+    k_idx: np.ndarray  # signed active subcarrier indices [k]
+    k_hz: np.ndarray  # k_idx * delta_f [k]
+    pilot_pos: np.ndarray  # pilot positions into the active set
+    m_t_s: np.ndarray  # symbol start times m * t_sym [m]
+    v_coef: np.ndarray  # Doppler per unit velocity, (2/c)(f_c + k delta_f) [k]
+    doppler_hz: np.ndarray  # unshifted zero-padded Doppler axis [m * zero_pad]
+
+
+def grid_constants(cfg: OfdmConfig) -> GridConstants:
+    """The arrays every trial needs from cfg alone; use cfg.cached(grid_constants)."""
+    k_idx = active_subcarriers(cfg)
+    k_hz = k_idx.astype(np.float64) * cfg.delta_f_hz
+    consts = GridConstants(
+        k_idx=k_idx, k_hz=k_hz, pilot_pos=pilot_positions(cfg),
+        m_t_s=np.arange(cfg.m_symbols, dtype=np.float64) * cfg.t_sym_s,
+        v_coef=(2.0 / C_LIGHT) * (cfg.f_c_hz + k_hz),
+        doppler_hz=np.fft.fftfreq(cfg.m_symbols * cfg.zero_pad, d=cfg.t_sym_s),
+    )
+    for arr in vars(consts).values():
+        arr.flags.writeable = False
+    return consts
+
+
+@dataclass(frozen=True)
 class FrameSymbols:
     """Transmitted frequency-domain symbols, shape [k_active, m_symbols].
 
     Unit modulus throughout (PSK data plus BPSK pilots), so the receiver
-    can divide the frame out without reshaping the noise.
+    can divide the frame out without reshaping the noise. Leading axes,
+    if any, stack the frames of several trials.
     """
 
     x: np.ndarray
@@ -137,17 +178,17 @@ class FrameSymbols:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.complex128)
-        if x.ndim != 2:
-            raise ConfigurationError(f"frame must be 2D [k, m], got shape {x.shape}")
+        if x.ndim < 2:
+            raise ConfigurationError(f"frame must be [..., k, m], got shape {x.shape}")
         object.__setattr__(self, "x", x)
 
     @property
     def k_active(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-2]
 
     @property
     def m_symbols(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
 
 def generate_frame(cfg: OfdmConfig, seed) -> FrameSymbols:
@@ -158,7 +199,7 @@ def generate_frame(cfg: OfdmConfig, seed) -> FrameSymbols:
     """
     rng = np.random.default_rng(seed)
     x = QPSK_ALPHABET[rng.integers(0, 4, size=(cfg.k_active, cfg.m_symbols))]
-    pil = pilot_positions(cfg)
+    pil = cfg.cached(grid_constants).pilot_pos
     if pil.size:
         x[pil, :] = 1.0 + 0.0j
     return FrameSymbols(x=x, constellation="qpsk")

@@ -55,6 +55,12 @@ def test_path_loss_fourth_power_law():
     assert path_loss_gain(lam, 1.0, 100.0) == pytest.approx(1.8142e-14, rel=1e-3)
 
 
+def test_path_loss_underflows_to_zero_beyond_float_range():
+    # 1e80**4 is beyond float range; the gain is what it underflows to
+    assert path_loss_gain(0.06, 1.0, 1e80) == 0.0
+    assert path_loss_gain(0.06, 1.0, 1e77) < 1e-300
+
+
 def test_path_loss_rejects_degenerate_inputs():
     with pytest.raises(SingularityError):
         path_loss_gain(0.06, 1.0, 0.0)

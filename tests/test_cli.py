@@ -86,6 +86,27 @@ def test_dump_grids_writes_side_files(tmp_path):
         assert (out / name).exists(), name
 
 
+def test_simulate_with_dumps_runs_the_front_half_once(tmp_path, monkeypatch,
+                                                     capsys):
+    import ofdmjrc.cli
+    import ofdmjrc.montecarlo as mc
+
+    frames = []
+    draw = mc.generate_frame
+
+    def counted(*args, **kwargs):
+        frames.append(draw(*args, **kwargs))
+        return frames[-1]
+
+    monkeypatch.setattr(mc, "generate_frame", counted)
+    out = tmp_path / "out"
+    rc = ofdmjrc.cli.main(["simulate", "--set", "io.dump_grids=true",
+                           "--seed", "4", "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert len(frames) == 1
+    assert (out / "frame.csv").exists()
+
+
 def test_rdmap_outputs_csv(tmp_path):
     cfg = _write_cfg(tmp_path, "ofdm.zero_pad = 2\n")
     out = tmp_path / "out"

@@ -151,3 +151,26 @@ def test_all_zero_row_returns_a_finite_value():
     assert np.all(np.isfinite(got))
     assert 0.35 <= got[0] <= 0.45
     assert got[1] == pytest.approx(0.1, abs=1e-7)
+
+
+def test_each_row_stops_on_its_own():
+    # a row that starts on its peak stops after one step; the flank rows
+    # around it need several, and must not move it any further
+    coef = np.arange(16.0)
+    flank = np.exp(-1j * 2 * np.pi * 0.3 * coef)
+    on_peak = np.exp(-1j * 2 * np.pi * 0.1 * coef)
+    rows = np.stack([flank, on_peak, flank * 0.5j, on_peak])
+    x0 = np.array([0.34, 0.1 + 1e-7, 0.26, 0.1 + 1e-7])
+    half = np.full(4, 0.05)
+    stacked = _kernels.refine_tones(rows, coef, 1.0, x0, half, 1e-6)
+    for i in range(4):
+        alone = _kernels.refine_tones(rows[i:i + 1], coef, 1.0, x0[i:i + 1],
+                                      half[i:i + 1], 1e-6)
+        assert alone[0].hex() == stacked[i].hex(), i
+    for seed in range(3):
+        rows, coef, x0, half = _noisy_peaks(seed)
+        stacked = _kernels.refine_tones(rows, coef, -1.0, x0, half, 1e-9)
+        alone = [_kernels.refine_tones(rows[i:i + 1], coef, -1.0, x0[i:i + 1],
+                                       half[i:i + 1], 1e-9)[0]
+                 for i in range(rows.shape[0])]
+        assert [a.hex() for a in alone] == [s.hex() for s in stacked]

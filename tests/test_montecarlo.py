@@ -1,16 +1,29 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ofdmjrc import (
+    CalibrationError,
     ConfigurationError,
     Decision,
+    FreqGrid,
+    IllConditionedError,
     NoPeakError,
+    ObservationVector,
     Scenario,
+    SampleGrid,
     TargetKind,
+    add_awgn,
     auto_gamma_grid,
+    build_config,
+    build_design_matrices,
+    estimate_h0,
+    extract_peak_observations,
     roc_sweep,
+    run_batch,
     run_trial,
     trial_seed,
     wilson_interval,
@@ -36,8 +49,6 @@ def test_run_trial_is_deterministic(cfg):
 
 
 def test_noiseless_trials_decide_correctly(cfg):
-    from dataclasses import replace
-
     false_clean = replace(_FALSE, snr_db=np.inf)
     real_clean = replace(_REAL, snr_db=np.inf)
     rec_f = run_trial(cfg, false_clean)
@@ -181,3 +192,83 @@ def test_write_roc_csv_is_stable(tmp_path, cfg):
     write_roc_csv(a, curves)
     write_roc_csv(b, curves)
     assert a.read_bytes() == b.read_bytes()
+
+
+# -- batches -----------------------------------------------------------------
+
+_LARGE = dict(n_fft=256, k_active=200, n_pilot=24, m_symbols=32, zero_pad=4)
+
+
+def _bits(rec):
+    """Everything a record reports, floats as their exact bits."""
+    def est(e):
+        if e is None:
+            return None
+        return (e.r0_hat_m.hex(), e.v_hat_mps.hex(),
+                None if e.f_cfo_hat_hz is None else e.f_cfo_hat_hz.hex(),
+                e.residual_norm.hex(), e.hypothesis)
+    decision = None if rec.outcome is None else rec.outcome.decision
+    return (rec.valid, rec.error, rec.t_stat.hex(), decision,
+            est(rec.est0), est(rec.est1))
+
+
+def _mixed_scenarios(n, master_seed):
+    """Both truths at -5 dB, 9 dB and without noise, each with its own seed."""
+    return [replace((_FALSE, _REAL)[i % 2],
+                    snr_db=(-5.0, 9.0, np.inf)[(i // 2) % 3],
+                    seed=trial_seed(master_seed, 0, i % 2, i))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("numerology", ["default", "large"])
+@pytest.mark.parametrize("genie", [False, True])
+def test_records_do_not_depend_on_their_batch(numerology, genie):
+    cfg = build_config(**({} if numerology == "default" else _LARGE))
+    scenarios = _mixed_scenarios(13, master_seed=5)
+    alone = [_bits(run_trial(cfg, sc, genie)) for sc in scenarios]
+    assert all(b[0] for b in alone)
+    assert any(b[2] == (0.0).hex() for b in alone)  # exact-zero statistics too
+    for size in (2, 5, 13):
+        batched = []
+        for i in range(0, len(scenarios), size):
+            batched += [_bits(r) for r in
+                        run_batch(cfg, scenarios[i:i + size], genie)]
+        assert batched == alone, f"batch size {size}"
+
+
+def test_a_failed_trial_does_not_touch_its_batch(cfg):
+    good = _mixed_scenarios(4, master_seed=9)
+    # the path gain underflows to zero: no energy to calibrate the noise
+    # against at 9 dB, and no peak to find without noise
+    lost = replace(_FALSE, r0_m=1e80)
+    lost_clean = replace(lost, snr_db=np.inf)
+    batch = [good[0], lost, good[1], good[2], lost_clean, good[3]]
+    recs = run_batch(cfg, batch)
+    assert [r.valid for r in recs] == [True, False, True, True, False, True]
+    with pytest.raises(CalibrationError) as calib:
+        add_awgn(SampleGrid(y=np.zeros((cfg.m_symbols, cfg.n_fft))), 9.0, 0)
+    assert recs[1].error == str(calib.value)
+    with pytest.raises(NoPeakError) as no_peak:
+        extract_peak_observations(
+            FreqGrid(y_tilde=np.zeros((cfg.k_active, cfg.m_symbols))), cfg)
+    assert recs[4].error == str(no_peak.value)
+    for sc, rec in zip(batch, recs):
+        assert _bits(rec) == _bits(run_trial(cfg, sc))
+
+
+def test_ill_conditioned_config_invalidates_every_trial():
+    # At a carrier this far above the band, the Doppler rows cannot tell
+    # velocity from offset: the scaled h0 design has condition ~1.7e12.
+    cfg = build_config(f_c_hz=4e18, v_max_mps=1e-6)
+    dm = build_design_matrices(cfg)
+    obs = ObservationVector(f=np.zeros(cfg.m_symbols + cfg.k_active),
+                            n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    with pytest.raises(IllConditionedError) as ill:
+        estimate_h0(obs, dm)
+    base = replace(_FALSE, v_mps=0.0)
+    curves = roc_sweep(cfg, [-5.0, 9.0], None, 7, False, base_scenario=base,
+                       master_seed=3)
+    assert [c.n_invalid for c in curves] == [14, 14]
+    assert all(c.n_false_valid == c.n_real_valid == 0 for c in curves)
+    recs = run_batch(cfg, _mixed_scenarios(7, master_seed=3))
+    assert all(not r.valid and r.error == str(ill.value) for r in recs)
