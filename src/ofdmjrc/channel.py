@@ -20,6 +20,7 @@ by the estimator.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +62,13 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.kind, TargetKind):
             raise ConfigurationError(f"kind must be a TargetKind, got {self.kind!r}")
+        for name in ("r0_m", "v_mps", "f_cfo_hz", "sigma_rcs_m2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ConfigurationError(
+                f"snr_db must be finite or +inf, got {self.snr_db}")
         if self.r0_m <= 0:
             raise ConfigurationError(f"r0_m must be positive, got {self.r0_m}")
         if self.sigma_rcs_m2 <= 0:

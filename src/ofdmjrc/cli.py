@@ -1,7 +1,8 @@
 """Command-line front end: simulate | rdmap | roc | plot.
 
 Exit codes: 0 success, 2 configuration/usage problems (bad config keys,
-missing files, malformed CSV), 3 runtime pipeline failures.
+missing files, malformed CSV), 3 runtime pipeline failures. The commands
+raise; main maps ConfigurationError to 2 and any other OfdmJrcError to 3.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .channel import write_grid_bin, write_grid_csv
 from .configio import (
@@ -23,7 +25,7 @@ from .configio import (
     snr_list_from,
     write_manifest,
 )
-from .errors import ConfigurationError, OfdmJrcError
+from .errors import ConfigurationError, OfdmJrcError, PipelineError
 from .grids import write_cells_csv
 from .montecarlo import roc_sweep, run_trial_with_grids, write_roc_csv
 # perfbench's traced export run wraps these names in this module; simulate
@@ -35,26 +37,9 @@ from .svgplot import parse_roc_csv, render_roc_svg
 from .waveform import active_subcarriers, write_frame_csv
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _check_config_path(config_path):
     if config_path is not None and not os.path.isfile(config_path):
-        raise FileNotFoundError(config_path)
-
-
-def _estimates_dict(est):
-    if est is None:
-        return None
-    return {
-        "r0_hat_m": est.r0_hat_m,
-        "v_hat_mps": est.v_hat_mps,
-        "f_cfo_hat_hz": est.f_cfo_hat_hz,
-        "residual_norm": est.residual_norm,
-        "hypothesis": est.hypothesis,
-    }
+        raise ConfigurationError(f"config not found: {config_path}")
 
 
 def _trial_dict(rec):
@@ -73,8 +58,8 @@ def _trial_dict(rec):
         "valid": rec.valid,
         "error": rec.error,
         "t_stat": rec.t_stat if rec.valid and math.isfinite(rec.t_stat) else None,
-        "est_h0": _estimates_dict(rec.est0),
-        "est_h1": _estimates_dict(rec.est1),
+        "est_h0": None if rec.est0 is None else asdict(rec.est0),
+        "est_h1": None if rec.est1 is None else asdict(rec.est1),
     }
     if rec.outcome is not None:
         out["decision"] = rec.outcome.decision.value
@@ -89,134 +74,104 @@ def _write_freq_csv(path, y_tilde) -> None:
                     range(y_tilde.shape[1]), y_tilde.real, y_tilde.imag)
 
 
-def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> int:
+def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
     """Run one trial and write its record (plus optional grid dumps)."""
-    try:
-        _check_config_path(config_path)
-        cfg_map = resolve_config(config_path, overrides)
-        cfg = ofdm_config_from(cfg_map)
-        scenario = scenario_from(cfg_map, seed=seed)
-        mode = detector_mode_from(cfg_map)
-        rec, grids = run_trial_with_grids(
-            cfg, scenario, genie=False, mode=mode,
-            cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
-            gamma_prime=cfg_map["detector.gamma_prime"])
-        os.makedirs(out_dir, exist_ok=True)
-        outputs = []
-        trial_path = os.path.join(out_dir, "trial.json")
-        with open(trial_path, "w", encoding="utf-8") as fh:
-            json.dump(_trial_dict(rec), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append(trial_path)
-        if cfg_map["io.dump_grids"]:
-            if grids is None:
-                return _fail(rec.error, 3)
-            frame, noisy, fg = grids
-            frame_path = os.path.join(out_dir, "frame.csv")
-            write_frame_csv(frame_path, frame, active_subcarriers(cfg))
-            grid_csv = os.path.join(out_dir, "sample_grid.csv")
-            write_grid_csv(grid_csv, noisy)
-            grid_bin = os.path.join(out_dir, "sample_grid.bin")
-            write_grid_bin(grid_bin, noisy)
-            freq_csv = os.path.join(out_dir, "freq_grid.csv")
-            _write_freq_csv(freq_csv, fg.y_tilde)
-            outputs += [frame_path, grid_csv, grid_bin, freq_csv]
-        manifest_path = os.path.join(out_dir, "manifest.json")
-        write_manifest(manifest_path,
-                       make_manifest("simulate", cfg_map, seed, outputs))
-        if rec.valid:
-            print(f"decision: {rec.outcome.decision.value} "
-                  f"(t_stat={rec.t_stat:.6g}); wrote {trial_path}")
-        else:
-            print(f"trial invalid: {rec.error}; wrote {trial_path}")
-        return 0
-    except FileNotFoundError as exc:
-        return _fail(f"config not found: {exc}", 2)
-    except ConfigurationError as exc:
-        return _fail(str(exc), 2)
-    except OfdmJrcError as exc:
-        return _fail(str(exc), 3)
+    _check_config_path(config_path)
+    cfg_map = resolve_config(config_path, overrides)
+    cfg = ofdm_config_from(cfg_map)
+    scenario = scenario_from(cfg_map, seed=seed)
+    mode = detector_mode_from(cfg_map)
+    rec, grids = run_trial_with_grids(
+        cfg, scenario, genie=False, mode=mode,
+        cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
+        gamma_prime=cfg_map["detector.gamma_prime"])
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = []
+    trial_path = os.path.join(out_dir, "trial.json")
+    with open(trial_path, "w", encoding="utf-8") as fh:
+        json.dump(_trial_dict(rec), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    outputs.append(trial_path)
+    if cfg_map["io.dump_grids"]:
+        if grids is None:
+            raise PipelineError(rec.error)
+        frame, noisy, fg = grids
+        frame_path = os.path.join(out_dir, "frame.csv")
+        write_frame_csv(frame_path, frame, active_subcarriers(cfg))
+        grid_csv = os.path.join(out_dir, "sample_grid.csv")
+        write_grid_csv(grid_csv, noisy)
+        grid_bin = os.path.join(out_dir, "sample_grid.bin")
+        write_grid_bin(grid_bin, noisy)
+        freq_csv = os.path.join(out_dir, "freq_grid.csv")
+        _write_freq_csv(freq_csv, fg.y_tilde)
+        outputs += [frame_path, grid_csv, grid_bin, freq_csv]
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    write_manifest(manifest_path,
+                   make_manifest("simulate", cfg_map, seed, outputs))
+    if rec.valid:
+        print(f"decision: {rec.outcome.decision.value} "
+              f"(t_stat={rec.t_stat:.6g}); wrote {trial_path}")
+    else:
+        print(f"trial invalid: {rec.error}; wrote {trial_path}")
 
 
-def cmd_rdmap(config_path, overrides=(), out_dir=".", seed: int = 0) -> int:
+def cmd_rdmap(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
     """Write the zero-padded range-Doppler map for one scenario draw."""
-    try:
-        _check_config_path(config_path)
-        cfg_map = resolve_config(config_path, overrides)
-        cfg = ofdm_config_from(cfg_map)
-        scenario = scenario_from(cfg_map, seed=seed)
-        _, _, fg = _pipeline_grids(cfg, scenario)
-        rdm = range_doppler_map(fg, cfg)
-        os.makedirs(out_dir, exist_ok=True)
-        map_path = os.path.join(out_dir, "rdmap.csv")
-        write_rdmap_csv(map_path, rdm)
-        manifest_path = os.path.join(out_dir, "manifest.json")
-        write_manifest(manifest_path,
-                       make_manifest("rdmap", cfg_map, seed, [map_path]))
-        peak = rdm.peak()
-        print(f"peak at delay={peak[0]:.4g} s, doppler={peak[1]:.4g} Hz; "
-              f"wrote {map_path}")
-        for key, value in resolution_summary(cfg).items():
-            print(f"{key} = {value:.6g}")
-        return 0
-    except FileNotFoundError as exc:
-        return _fail(f"config not found: {exc}", 2)
-    except ConfigurationError as exc:
-        return _fail(str(exc), 2)
-    except OfdmJrcError as exc:
-        return _fail(str(exc), 3)
+    _check_config_path(config_path)
+    cfg_map = resolve_config(config_path, overrides)
+    cfg = ofdm_config_from(cfg_map)
+    scenario = scenario_from(cfg_map, seed=seed)
+    _, _, fg = _pipeline_grids(cfg, scenario)
+    rdm = range_doppler_map(fg, cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    map_path = os.path.join(out_dir, "rdmap.csv")
+    write_rdmap_csv(map_path, rdm)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    write_manifest(manifest_path,
+                   make_manifest("rdmap", cfg_map, seed, [map_path]))
+    peak = rdm.peak()
+    print(f"peak at delay={peak[0]:.4g} s, doppler={peak[1]:.4g} Hz; "
+          f"wrote {map_path}")
+    for key, value in resolution_summary(cfg).items():
+        print(f"{key} = {value:.6g}")
 
 
 def cmd_roc(config_path, out_csv, overrides=(), seed: int = 0,
-            workers: int = 1) -> int:
+            workers: int = 1) -> None:
     """Run the configured ROC sweep and write the CSV plus a manifest."""
-    try:
-        _check_config_path(config_path)
-        cfg_map = resolve_config(config_path, overrides)
-        cfg = ofdm_config_from(cfg_map)
-        base = scenario_from(cfg_map, seed=0)
-        mode = detector_mode_from(cfg_map)
-        snrs = snr_list_from(cfg_map)
-        n_trials = int(cfg_map["mc.n_trials"])
-        curves = []
-        for genie in genie_flags_from(cfg_map):
-            curves += roc_sweep(cfg, snrs, None, n_trials, genie,
-                                base_scenario=base, master_seed=seed,
-                                mode=mode,
-                                cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
-                                workers=workers)
-        out_dir = os.path.dirname(os.path.abspath(out_csv))
-        os.makedirs(out_dir, exist_ok=True)
-        write_roc_csv(out_csv, curves)
-        manifest_path = os.path.join(out_dir, "manifest.json")
-        write_manifest(manifest_path,
-                       make_manifest("roc", cfg_map, seed, [out_csv]))
-        total = sum(2 * c.n_trials for c in curves)
-        print(f"wrote {out_csv} ({len(curves)} curves, {total} trials)")
-        return 0
-    except FileNotFoundError as exc:
-        return _fail(f"config not found: {exc}", 2)
-    except ConfigurationError as exc:
-        return _fail(str(exc), 2)
-    except OfdmJrcError as exc:
-        return _fail(str(exc), 3)
+    _check_config_path(config_path)
+    cfg_map = resolve_config(config_path, overrides)
+    cfg = ofdm_config_from(cfg_map)
+    base = scenario_from(cfg_map, seed=0)
+    mode = detector_mode_from(cfg_map)
+    snrs = snr_list_from(cfg_map)
+    n_trials = int(cfg_map["mc.n_trials"])
+    curves = []
+    for genie in genie_flags_from(cfg_map):
+        curves += roc_sweep(cfg, snrs, None, n_trials, genie,
+                            base_scenario=base, master_seed=seed,
+                            mode=mode,
+                            cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
+                            workers=workers)
+    out_dir = os.path.dirname(os.path.abspath(out_csv))
+    os.makedirs(out_dir, exist_ok=True)
+    write_roc_csv(out_csv, curves)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    write_manifest(manifest_path,
+                   make_manifest("roc", cfg_map, seed, [out_csv]))
+    total = sum(2 * c.n_trials for c in curves)
+    print(f"wrote {out_csv} ({len(curves)} curves, {total} trials)")
 
 
-def cmd_plot(csv_path, out_svg) -> int:
+def cmd_plot(csv_path, out_svg) -> None:
     """Render a ROC CSV to an SVG plot."""
-    try:
-        if not os.path.isfile(csv_path):
-            return _fail(f"csv not found: {csv_path}", 2)
-        groups = parse_roc_csv(csv_path)
-        out_dir = os.path.dirname(os.path.abspath(out_svg))
-        os.makedirs(out_dir, exist_ok=True)
-        render_roc_svg(out_svg, groups)
-        print(f"wrote {out_svg} ({len(groups)} curves)")
-        return 0
-    except ConfigurationError as exc:
-        return _fail(str(exc), 2)
-    except OfdmJrcError as exc:
-        return _fail(str(exc), 3)
+    if not os.path.isfile(csv_path):
+        raise ConfigurationError(f"csv not found: {csv_path}")
+    groups = parse_roc_csv(csv_path)
+    out_dir = os.path.dirname(os.path.abspath(out_svg))
+    os.makedirs(out_dir, exist_ok=True)
+    render_roc_svg(out_svg, groups)
+    print(f"wrote {out_svg} ({len(groups)} curves)")
 
 
 def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
@@ -255,16 +210,20 @@ def main(argv=None) -> int:
     p_plot.add_argument("--out", default=".", help="output directory")
 
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args.config, args.overrides, args.out, args.seed)
-    if args.command == "rdmap":
-        return cmd_rdmap(args.config, args.overrides, args.out, args.seed)
-    if args.command == "roc":
-        out_csv = os.path.join(args.out, "roc.csv")
-        return cmd_roc(args.config, out_csv, args.overrides, args.seed,
-                       args.workers)
-    out_svg = os.path.join(args.out, "roc.svg")
-    return cmd_plot(args.csv, out_svg)
+    try:
+        if args.command == "simulate":
+            cmd_simulate(args.config, args.overrides, args.out, args.seed)
+        elif args.command == "rdmap":
+            cmd_rdmap(args.config, args.overrides, args.out, args.seed)
+        elif args.command == "roc":
+            cmd_roc(args.config, os.path.join(args.out, "roc.csv"),
+                    args.overrides, args.seed, args.workers)
+        else:
+            cmd_plot(args.csv, os.path.join(args.out, "roc.svg"))
+    except OfdmJrcError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigurationError) else 3
+    return 0
 
 
 if __name__ == "__main__":

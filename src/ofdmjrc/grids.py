@@ -29,14 +29,6 @@ class SampleGrid:
             raise ValueError("sample grid must be [..., m_symbols, n_fft]")
         self.sigma2 = float(self.sigma2)
 
-    @property
-    def m_symbols(self) -> int:
-        return self.y.shape[-2]
-
-    @property
-    def n_fft(self) -> int:
-        return self.y.shape[-1]
-
 
 @dataclass(eq=False)
 class FreqGrid:
@@ -49,14 +41,6 @@ class FreqGrid:
         self.y_tilde = np.asarray(self.y_tilde, dtype=np.complex128)
         if self.y_tilde.ndim < 2:
             raise ValueError("frequency grid must be [..., k_active, m_symbols]")
-
-    @property
-    def k_active(self) -> int:
-        return self.y_tilde.shape[-2]
-
-    @property
-    def m_symbols(self) -> int:
-        return self.y_tilde.shape[-1]
 
     def vectorized(self) -> np.ndarray:
         """Flatten each grid to z[..., k + m*K]: subcarrier index fastest."""

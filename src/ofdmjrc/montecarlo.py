@@ -15,10 +15,11 @@ leading trial axis, using only operations whose per-trial bits do not
 depend on the rest of the batch, so every record is bit for bit what
 its scenario gets alone; run_trial is a batch of one. A trial that
 fails is recorded invalid with the message it gets alone, and the
-others in its batch are unaffected: if a batched stage raises, its
-trials rerun that stage one by one. roc_sweep cuts its trial list into
-batches of batch_size(cfg) by position, so the batches do not depend
-on the worker count either.
+others in its batch are unaffected: an error in a trial's own steps
+stays with that trial, and if a whole-batch stage raises, every trial
+of the batch reruns as a batch of one. roc_sweep cuts its trial list
+into batches of batch_size(cfg) by position, so the batches do not
+depend on the worker count either.
 
 Template conditioning: the raw fits are kept verbatim in the record,
 but the templates are built from conditioned copies. A false-target
@@ -42,6 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import estimator
 from .channel import (
     Scenario,
     TargetKind,
@@ -78,7 +80,6 @@ from .waveform import (
     C_LIGHT,
     FrameSymbols,
     OfdmConfig,
-    config_fingerprint,
     generate_frame,
     grid_constants,
 )
@@ -128,7 +129,6 @@ class RocCurve:
     n_false_valid: int
     n_real_valid: int
     n_invalid: int
-    config_hash: str
 
 
 def wilson_interval(successes, n, z: float = WILSON_Z):
@@ -176,13 +176,11 @@ def _refit_range(cfg: OfdmConfig, delay_obs: np.ndarray, v_mps: float) -> float:
 def _genie_solver(cfg: OfdmConfig, f_cfo_hz: float) -> ScaledLs:
     """Geometry fit [R, v] with the offset known exactly, including the
     otherwise-dropped velocity-offset cross term in the v column."""
-    m = np.arange(cfg.m_symbols, dtype=np.float64)
-    k_hz = cfg.cached(grid_constants).k_hz
-    two_c = 2.0 / C_LIGHT
-    a = np.zeros((cfg.m_symbols + cfg.k_active, 2))
-    a[:cfg.m_symbols, 0] = two_c
-    a[:cfg.m_symbols, 1] = -two_c * m * cfg.t_sym_s
-    a[cfg.m_symbols:, 1] = two_c * (cfg.f_c_hz + f_cfo_hz + k_hz)
+    # Called through estimator: perfbench traces this module's
+    # build_design_matrices as a stage that runs once per trial.
+    a = estimator.build_design_matrices(cfg).a2.copy()
+    a[cfg.m_symbols:, 1] = (2.0 / C_LIGHT) * (
+        cfg.f_c_hz + f_cfo_hz + cfg.cached(grid_constants).k_hz)
     return ScaledLs(a)
 
 
@@ -251,66 +249,34 @@ def trial_grids(cfg: OfdmConfig, scenario: Scenario):
     return frame, noisy, remove_known_symbols(fast_time_dft(noisy, cfg), frame)
 
 
-def _advance(results: list, stage, *args) -> list:
-    """Run a batched stage on the entries of results that hold no
-    exception yet, replacing each by its output.
-
-    stage(entries, *args) returns one output per entry, an exception for
-    a trial it failed. If the batched call raises, each entry runs
-    alone, so the error lands on the trial it belongs to, with the
-    message that trial gets alone.
-    """
-    live = [i for i, r in enumerate(results) if not isinstance(r, Exception)]
-    if live:
-        try:
-            outs = stage([results[i] for i in live], *args)
-        except OfdmJrcError as exc:
-            outs = ([exc] if len(live) == 1 else
-                    [_advance([results[i]], stage, *args)[0] for i in live])
-        for i, out in zip(live, outs):
-            results[i] = out
-    return results
-
-
-def _remove_symbols(items, cfg):
-    """(scenario, frame, noisy) -> (scenario, frame, noisy, fg), with one
-    FFT and one symbol removal for the whole batch."""
-    frames = FrameSymbols(x=np.stack([frame.x for _, frame, _ in items]))
-    noisy = SampleGrid(y=np.stack([grid.y for _, _, grid in items]))
-    y_tilde = remove_known_symbols(fast_time_dft(noisy, cfg), frames).y_tilde
-    return [(*item, FreqGrid(y_tilde=y)) for item, y in zip(items, y_tilde)]
-
-
-def _score(items, cfg, genie, mode, cfo_floor_hz, gamma_prime):
-    """(scenario, frame, noisy, fg) -> (est0, est1, t_stat, outcome):
-    batched peaks, per-trial fits and conditioning, batched templates
-    and statistics, per-trial decisions."""
-    fg = FreqGrid(y_tilde=np.stack([item[3].y_tilde for item in items]))
+def _score(cfg, fg, scenarios, genie, mode, cfo_floor_hz, gamma_prime):
+    """(est0, est1, t_stat, outcome) for each trial stacked in fg, or the
+    error its own fits, conditioning or decision raised. The peaks,
+    templates and statistics run once for the whole stack."""
     peaks = extract_peak_observations(fg, cfg)
     dm = build_design_matrices(cfg)
-    out: list = []
-    fits = []  # (item index, est0, est1, est0_t, est1_t)
-    for i, item in enumerate(items):
+    out, fits = [], []  # fits: (row in fg, est0, est1, est0_t, est1_t)
+    for row, scenario in enumerate(scenarios):
         try:
             obs = ObservationVector.from_peaks(PeakObservations(
-                delay_obs_s=peaks.delay_obs_s[i], dopp_obs_hz=peaks.dopp_obs_hz[i]))
+                delay_obs_s=peaks.delay_obs_s[row],
+                dopp_obs_hz=peaks.dopp_obs_hz[row]))
             est0 = estimate_h0(obs, dm)
             est1 = estimate_h1(obs, dm)
-            fits.append((i, est0, est1, *_condition_estimates(
-                cfg, obs, est0, est1, item[0], genie, cfo_floor_hz)))
+            fits.append((row, est0, est1, *_condition_estimates(
+                cfg, obs, est0, est1, scenario, genie, cfo_floor_hz)))
             out.append(None)
         except OfdmJrcError as exc:
             out.append(exc)
-    if not fits:
-        return out
-    rows, est0s, est1s, est0_ts, est1_ts = zip(*fits)
-    tp = synth_templates(cfg, est0_ts, est1_ts)
-    t_stats = glrt_statistic(fg.vectorized()[list(rows)], tp, mode)
-    for i, est0, est1, t in zip(rows, est0s, est1s, t_stats.tolist()):
-        try:
-            out[i] = (est0, est1, t, decide(t, gamma_prime, mode))
-        except OfdmJrcError as exc:
-            out[i] = exc
+    if fits:
+        rows, est0s, est1s, est0_ts, est1_ts = zip(*fits)
+        tp = synth_templates(cfg, est0_ts, est1_ts)
+        t_stats = glrt_statistic(fg.vectorized()[list(rows)], tp, mode)
+        for row, est0, est1, t in zip(rows, est0s, est1s, t_stats.tolist()):
+            try:
+                out[row] = (est0, est1, t, decide(t, gamma_prime, mode))
+            except OfdmJrcError as exc:
+                out[row] = exc
     return out
 
 
@@ -327,18 +293,38 @@ def _record(scenario: Scenario, genie: bool, result) -> TrialRecord:
 
 
 def _run_batch(cfg, scenarios, genie, mode, cfo_floor_hz, gamma_prime):
-    """run_batch's records, plus each trial's (frame, noisy, fg), or None
-    for a trial that failed before its symbol-removed grid existed."""
-    results: list = []
+    """run_batch's records, plus each live trial's (frame, noisy) and the
+    live trials' stacked symbol-removed grid (None if it was not made).
+
+    A trial is live once its front half has run. When a whole-batch
+    stage raises, a lone live trial takes the error; a batch with more
+    reruns every trial as a batch of one.
+    """
+    results, fronts = [], []
     for scenario in scenarios:
         try:
-            results.append((scenario, *_front_half(cfg, scenario)))
+            fronts.append(_front_half(cfg, scenario))
+            results.append(None)
         except OfdmJrcError as exc:
             results.append(exc)
-    _advance(results, _remove_symbols, cfg)
-    grids = [None if isinstance(r, Exception) else r[1:] for r in results]
-    _advance(results, _score, cfg, genie, mode, cfo_floor_hz, gamma_prime)
-    return [_record(sc, genie, r) for sc, r in zip(scenarios, results)], grids
+    live = [i for i, r in enumerate(results) if r is None]
+    fg = None
+    try:
+        if live:
+            noisy = SampleGrid(y=np.stack([grid.y for _, grid in fronts]))
+            frames = FrameSymbols(x=np.stack([frame.x for frame, _ in fronts]))
+            fg = remove_known_symbols(fast_time_dft(noisy, cfg), frames)
+            scored = _score(cfg, fg, [scenarios[i] for i in live], genie, mode,
+                            cfo_floor_hz, gamma_prime)
+            for i, result in zip(live, scored):
+                results[i] = result
+    except OfdmJrcError as exc:
+        if len(live) > 1:
+            return [run_trial(cfg, sc, genie, mode, cfo_floor_hz, gamma_prime)
+                    for sc in scenarios], fronts, None
+        results[live[0]] = exc
+    return ([_record(sc, genie, r) for sc, r in zip(scenarios, results)],
+            fronts, fg)
 
 
 def run_batch(cfg: OfdmConfig, scenarios, genie: bool = False,
@@ -370,9 +356,11 @@ def run_trial_with_grids(cfg: OfdmConfig, scenario: Scenario,
                          gamma_prime: float = 0.0):
     """run_trial's record and the (frame, noisy, fg) it scored, from one
     pass; the grids are None when the trial failed before fg existed."""
-    records, grids = _run_batch(cfg, [scenario], genie, mode, cfo_floor_hz,
-                                gamma_prime)
-    return records[0], grids[0]
+    records, fronts, fg = _run_batch(cfg, [scenario], genie, mode,
+                                     cfo_floor_hz, gamma_prime)
+    if fg is None:
+        return records[0], None
+    return records[0], (*fronts[0], FreqGrid(y_tilde=fg.y_tilde[0]))
 
 
 def _batch_task(args) -> list[TrialRecord]:
@@ -452,7 +440,6 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
     records = _run_many(cfg, scenarios, genie, mode, cfo_floor_hz, workers)
 
     curves = []
-    cfg_hash = config_fingerprint(cfg)
     for snr_idx, snr in enumerate(snr_db_list):
         # Records run snr -> truth side -> trial, n_trials per side.
         start = 2 * snr_idx * n_trials
@@ -475,7 +462,7 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
             p_fa=p_fa, p_d=p_d,
             p_fa_lo=fa_lo, p_fa_hi=fa_hi, p_d_lo=d_lo, p_d_hi=d_hi,
             n_trials=n_trials, n_false_valid=nf, n_real_valid=nr,
-            n_invalid=n_invalid, config_hash=cfg_hash,
+            n_invalid=n_invalid,
         ))
     return curves
 

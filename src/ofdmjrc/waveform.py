@@ -10,6 +10,7 @@ kernel e^{+j2pi.}, 1/sqrt(N) on both directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,10 @@ def build_config(**kwargs) -> OfdmConfig:
     expected two-way Doppler shift by at least a factor of ten.
     """
     cfg = OfdmConfig(**kwargs)
+    for name in ("delta_f_hz", "f_c_hz", "v_max_mps"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigurationError(
+                f"{name} must be finite, got {getattr(cfg, name)}")
     if cfg.n_fft < 2 or (cfg.n_fft & (cfg.n_fft - 1)) != 0:
         raise ConfigurationError(f"n_fft must be a power of two >= 2, got {cfg.n_fft}")
     if not 0 < cfg.k_active <= cfg.n_fft - 1:
@@ -174,21 +179,12 @@ class FrameSymbols:
     """
 
     x: np.ndarray
-    constellation: str = "qpsk"
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.complex128)
         if x.ndim < 2:
             raise ConfigurationError(f"frame must be [..., k, m], got shape {x.shape}")
         object.__setattr__(self, "x", x)
-
-    @property
-    def k_active(self) -> int:
-        return self.x.shape[-2]
-
-    @property
-    def m_symbols(self) -> int:
-        return self.x.shape[-1]
 
 
 def generate_frame(cfg: OfdmConfig, seed) -> FrameSymbols:
@@ -202,7 +198,7 @@ def generate_frame(cfg: OfdmConfig, seed) -> FrameSymbols:
     pil = cfg.cached(grid_constants).pilot_pos
     if pil.size:
         x[pil, :] = 1.0 + 0.0j
-    return FrameSymbols(x=x, constellation="qpsk")
+    return FrameSymbols(x=x)
 
 
 def idft_modulate(frame: FrameSymbols, cfg: OfdmConfig) -> SampleGrid:
@@ -220,17 +216,6 @@ def idft_modulate(frame: FrameSymbols, cfg: OfdmConfig) -> SampleGrid:
     bins = np.zeros((cfg.n_fft, cfg.m_symbols), dtype=np.complex128)
     bins[active_subcarriers(cfg) % cfg.n_fft, :] = frame.x
     return SampleGrid(y=np.fft.ifft(bins, axis=0, norm="ortho").T)
-
-
-def config_fingerprint(cfg: OfdmConfig) -> str:
-    """Stable short string identifying the numeric configuration."""
-    parts = [
-        f"n{cfg.n_fft}", f"k{cfg.k_active}", f"p{cfg.n_pilot}",
-        f"df{cfg.delta_f_hz:.6g}", f"fc{cfg.f_c_hz:.6g}",
-        f"m{cfg.m_symbols}", f"z{cfg.zero_pad}",
-        f"t{cfg.peak_refine_tol:.3g}", f"v{cfg.v_max_mps:.6g}",
-    ]
-    return "-".join(parts)
 
 
 def write_frame_csv(path, frame: FrameSymbols, k_idx: np.ndarray) -> None:

@@ -83,6 +83,22 @@ def test_scenario_validation():
     assert _false_scenario().with_seed(5).seed == 5
 
 
+@pytest.mark.parametrize("field", ["r0_m", "v_mps", "f_cfo_hz",
+                                   "sigma_rcs_m2", "snr_db"])
+def test_scenario_rejects_nan(field):
+    with pytest.raises(ConfigurationError, match=field):
+        _false_scenario(**{field: np.nan})
+
+
+def test_scenario_rejects_infinite_values_but_noiseless_snr():
+    for field in ("r0_m", "v_mps", "f_cfo_hz", "sigma_rcs_m2"):
+        with pytest.raises(ConfigurationError, match=field):
+            _false_scenario(**{field: np.inf})
+    with pytest.raises(ConfigurationError, match="snr_db"):
+        _false_scenario(snr_db=-np.inf)
+    assert _false_scenario(snr_db=np.inf).snr_db == np.inf
+
+
 def test_channel_gain_mean_square_is_calibrated(cfg):
     sc = _false_scenario()
     mags = np.empty(100_000)

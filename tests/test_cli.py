@@ -69,6 +69,15 @@ def test_contradictory_scenario_is_rejected(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_nan_scenario_value_is_rejected(tmp_path):
+    out = tmp_path / "out"
+    proc = _run("roc", "--set", "scenario.r0_m=nan", "--set", "mc.n_trials=2",
+                "--out", str(out))
+    assert proc.returncode == 2
+    assert "r0_m must be finite" in proc.stderr
+    assert not (out / "roc.csv").exists()
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     cfg = _write_cfg(tmp_path, "scenario.warp_factor = 9\n")
     proc = _run("simulate", "--config", cfg)
@@ -105,6 +114,41 @@ def test_simulate_with_dumps_runs_the_front_half_once(tmp_path, monkeypatch,
     assert rc == 0, capsys.readouterr().err
     assert len(frames) == 1
     assert (out / "frame.csv").exists()
+
+
+# The path gain of a target this far away underflows to zero.
+_LOST = ("--set", "scenario.r0_m=1e80")
+
+
+def test_pipeline_failure_without_grids_exits_3(tmp_path):
+    # at 9 dB there is no energy to calibrate the noise against
+    out = tmp_path / "out"
+    proc = _run("simulate", "--set", "io.dump_grids=true", *_LOST,
+                "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: cannot calibrate noise on an all-zero "
+                           "grid at finite SNR\n")
+    assert json.loads((out / "trial.json").read_text())["valid"] is False
+    assert not (out / "frame.csv").exists()
+    proc = _run("rdmap", *_LOST, "--out", str(out))
+    assert proc.returncode == 3
+    assert "cannot calibrate noise" in proc.stderr
+    assert not (out / "rdmap.csv").exists()
+
+
+def test_trial_failing_after_its_grids_still_dumps_them(tmp_path):
+    # without noise the front half runs and peak extraction fails
+    out = tmp_path / "out"
+    proc = _run("simulate", "--set", "io.dump_grids=true", *_LOST,
+                "--set", "scenario.snr_db=inf", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    trial = json.loads((out / "trial.json").read_text())
+    assert trial["valid"] is False
+    assert trial["error"] == "grid is identically zero; no peak to extract"
+    assert trial["est_h0"] is None and trial["t_stat"] is None
+    for name in ("frame.csv", "sample_grid.csv", "sample_grid.bin",
+                 "freq_grid.csv"):
+        assert (out / name).exists(), name
 
 
 def test_rdmap_outputs_csv(tmp_path):

@@ -236,14 +236,17 @@ def test_records_do_not_depend_on_their_batch(numerology, genie):
         assert batched == alone, f"batch size {size}"
 
 
-def test_a_failed_trial_does_not_touch_its_batch(cfg):
+@pytest.mark.parametrize("numerology", ["default", "large"])
+@pytest.mark.parametrize("genie", [False, True])
+def test_a_failed_trial_does_not_touch_its_batch(numerology, genie):
+    cfg = build_config(**({} if numerology == "default" else _LARGE))
     good = _mixed_scenarios(4, master_seed=9)
     # the path gain underflows to zero: no energy to calibrate the noise
     # against at 9 dB, and no peak to find without noise
     lost = replace(_FALSE, r0_m=1e80)
     lost_clean = replace(lost, snr_db=np.inf)
     batch = [good[0], lost, good[1], good[2], lost_clean, good[3]]
-    recs = run_batch(cfg, batch)
+    recs = run_batch(cfg, batch, genie)
     assert [r.valid for r in recs] == [True, False, True, True, False, True]
     with pytest.raises(CalibrationError) as calib:
         add_awgn(SampleGrid(y=np.zeros((cfg.m_symbols, cfg.n_fft))), 9.0, 0)
@@ -253,7 +256,7 @@ def test_a_failed_trial_does_not_touch_its_batch(cfg):
             FreqGrid(y_tilde=np.zeros((cfg.k_active, cfg.m_symbols))), cfg)
     assert recs[4].error == str(no_peak.value)
     for sc, rec in zip(batch, recs):
-        assert _bits(rec) == _bits(run_trial(cfg, sc))
+        assert _bits(rec) == _bits(run_trial(cfg, sc, genie))
 
 
 def test_ill_conditioned_config_invalidates_every_trial():

@@ -48,6 +48,13 @@ def test_build_config_rejects_bad_values():
         build_config(peak_refine_tol=0.0)
 
 
+@pytest.mark.parametrize("field", ["delta_f_hz", "f_c_hz", "v_max_mps"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_build_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        build_config(**{field: value})
+
+
 def test_build_config_enforces_narrowband_margin():
     # max Doppler shift across the band must stay well under one bin spacing
     limit = build_config().delta_f_hz * C_LIGHT / (10.0 * 2.0 * 5e9)
