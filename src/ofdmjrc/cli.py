@@ -86,15 +86,13 @@ def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
         cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
         gamma_prime=cfg_map["detector.gamma_prime"])
     os.makedirs(out_dir, exist_ok=True)
-    outputs = []
     trial_path = os.path.join(out_dir, "trial.json")
     with open(trial_path, "w", encoding="utf-8") as fh:
         json.dump(_trial_dict(rec), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    outputs.append(trial_path)
-    if cfg_map["io.dump_grids"]:
-        if grids is None:
-            raise PipelineError(rec.error)
+    outputs = [trial_path]
+    dump = cfg_map["io.dump_grids"]
+    if dump and grids is not None:
         frame, noisy, fg = grids
         frame_path = os.path.join(out_dir, "frame.csv")
         write_frame_csv(frame_path, frame, active_subcarriers(cfg))
@@ -108,6 +106,9 @@ def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_manifest(manifest_path,
                    make_manifest("simulate", cfg_map, seed, outputs))
+    if dump and grids is None:
+        # the front half failed: no grids to dump
+        raise PipelineError(rec.error)
     if rec.valid:
         print(f"decision: {rec.outcome.decision.value} "
               f"(t_stat={rec.t_stat:.6g}); wrote {trial_path}")
@@ -146,13 +147,10 @@ def cmd_roc(config_path, out_csv, overrides=(), seed: int = 0,
     mode = detector_mode_from(cfg_map)
     snrs = snr_list_from(cfg_map)
     n_trials = int(cfg_map["mc.n_trials"])
-    curves = []
-    for genie in genie_flags_from(cfg_map):
-        curves += roc_sweep(cfg, snrs, None, n_trials, genie,
-                            base_scenario=base, master_seed=seed,
-                            mode=mode,
-                            cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
-                            workers=workers)
+    curves = roc_sweep(cfg, snrs, None, n_trials, genie_flags_from(cfg_map),
+                       base_scenario=base, master_seed=seed, mode=mode,
+                       cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
+                       workers=workers)
     out_dir = os.path.dirname(os.path.abspath(out_csv))
     os.makedirs(out_dir, exist_ok=True)
     write_roc_csv(out_csv, curves)
@@ -160,7 +158,15 @@ def cmd_roc(config_path, out_csv, overrides=(), seed: int = 0,
     write_manifest(manifest_path,
                    make_manifest("roc", cfg_map, seed, [out_csv]))
     total = sum(2 * c.n_trials for c in curves)
-    print(f"wrote {out_csv} ({len(curves)} curves, {total} trials)")
+    invalid = sum(c.n_invalid for c in curves)
+    print(f"wrote {out_csv} ({len(curves)} curves, {total} trials, "
+          f"{invalid} invalid)")
+    for c in curves:
+        if not (c.n_false_valid and c.n_real_valid):
+            print(f"warning: curve snr_db={c.snr_db!r} genie="
+                  f"{str(c.genie).lower()} has {c.n_false_valid} valid "
+                  f"false-target and {c.n_real_valid} valid real-target "
+                  "trials", file=sys.stderr)
 
 
 def cmd_plot(csv_path, out_svg) -> None:

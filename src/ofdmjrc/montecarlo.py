@@ -21,6 +21,12 @@ of the batch reruns as a batch of one. roc_sweep cuts its trial list
 into batches of batch_size(cfg) by position, so the batches do not
 depend on the worker count either.
 
+Estimation modes: a batch can be scored under several genie flags. The
+front halves, FFTs, symbol removal, peaks and fits then run once; the
+conditioning, templates, statistics and decisions run per flag, and each
+flag's records are bit for bit what that flag gets alone. roc_sweep
+scores every trial under all its flags in one pass and one worker pool.
+
 Template conditioning: the raw fits are kept verbatim in the record,
 but the templates are built from conditioned copies. A false-target
 grid fitted under the real-target hypothesis absorbs the frequency
@@ -153,7 +159,8 @@ def trial_seed(master_seed: int, snr_idx: int, kind_idx: int,
 
     The spawn key encodes (snr index, truth side, trial index) but not
     the genie flag, so genie and estimated runs see common random
-    numbers.
+    numbers: up to the fits they are the same trial, which is why
+    roc_sweep runs it once and scores it under both flags.
     """
     ss = np.random.SeedSequence(entropy=master_seed,
                                 spawn_key=(snr_idx, kind_idx, trial_idx))
@@ -249,35 +256,43 @@ def trial_grids(cfg: OfdmConfig, scenario: Scenario):
     return frame, noisy, remove_known_symbols(fast_time_dft(noisy, cfg), frame)
 
 
-def _score(cfg, fg, scenarios, genie, mode, cfo_floor_hz, gamma_prime):
-    """(est0, est1, t_stat, outcome) for each trial stacked in fg, or the
-    error its own fits, conditioning or decision raised. The peaks,
-    templates and statistics run once for the whole stack."""
+def _score(cfg, fg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
+    """Per flag in flags, (est0, est1, t_stat, outcome) for each trial
+    stacked in fg, or the error its own fits, conditioning or decision
+    raised. The peaks and fits run once, the templates and statistics
+    once per flag, each for the whole stack."""
     peaks = extract_peak_observations(fg, cfg)
     dm = build_design_matrices(cfg)
-    out, fits = [], []  # fits: (row in fg, est0, est1, est0_t, est1_t)
-    for row, scenario in enumerate(scenarios):
+    fits = []  # per trial: (obs, est0, est1), or the error of its fits
+    for row in range(len(scenarios)):
         try:
             obs = ObservationVector.from_peaks(PeakObservations(
                 delay_obs_s=peaks.delay_obs_s[row],
                 dopp_obs_hz=peaks.dopp_obs_hz[row]))
-            est0 = estimate_h0(obs, dm)
-            est1 = estimate_h1(obs, dm)
-            fits.append((row, est0, est1, *_condition_estimates(
-                cfg, obs, est0, est1, scenario, genie, cfo_floor_hz)))
-            out.append(None)
+            fits.append((obs, estimate_h0(obs, dm), estimate_h1(obs, dm)))
         except OfdmJrcError as exc:
-            out.append(exc)
-    if fits:
-        rows, est0s, est1s, est0_ts, est1_ts = zip(*fits)
-        tp = synth_templates(cfg, est0_ts, est1_ts)
-        t_stats = glrt_statistic(fg.vectorized()[list(rows)], tp, mode)
-        for row, est0, est1, t in zip(rows, est0s, est1s, t_stats.tolist()):
-            try:
-                out[row] = (est0, est1, t, decide(t, gamma_prime, mode))
-            except OfdmJrcError as exc:
-                out[row] = exc
-    return out
+            fits.append(exc)
+    z, per_flag = fg.vectorized(), []
+    for genie in flags:
+        out, kept = list(fits), []  # kept: (row, est0_t, est1_t)
+        for row, (scenario, fit) in enumerate(zip(scenarios, fits)):
+            if not isinstance(fit, Exception):
+                try:
+                    kept.append((row, *_condition_estimates(
+                        cfg, *fit, scenario, genie, cfo_floor_hz)))
+                except OfdmJrcError as exc:
+                    out[row] = exc
+        if kept:
+            rows, est0_ts, est1_ts = zip(*kept)
+            tp = synth_templates(cfg, est0_ts, est1_ts)
+            t_stats = glrt_statistic(z[list(rows)], tp, mode)
+            for row, t in zip(rows, t_stats.tolist()):
+                try:
+                    out[row] = (*fits[row][1:], t, decide(t, gamma_prime, mode))
+                except OfdmJrcError as exc:
+                    out[row] = exc
+        per_flag.append(out)
+    return per_flag
 
 
 def _record(scenario: Scenario, genie: bool, result) -> TrialRecord:
@@ -292,13 +307,14 @@ def _record(scenario: Scenario, genie: bool, result) -> TrialRecord:
                        t_stat=t_stat, outcome=outcome)
 
 
-def _run_batch(cfg, scenarios, genie, mode, cfo_floor_hz, gamma_prime):
-    """run_batch's records, plus each live trial's (frame, noisy) and the
-    live trials' stacked symbol-removed grid (None if it was not made).
+def _run_batch(cfg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
+    """run_batch's records under each flag in flags, plus each live
+    trial's (frame, noisy) and the live trials' stacked symbol-removed
+    grid (None if it was not made).
 
     A trial is live once its front half has run. When a whole-batch
-    stage raises, a lone live trial takes the error; a batch with more
-    reruns every trial as a batch of one.
+    stage raises, a lone live trial under a lone flag takes the error;
+    otherwise every trial reruns as a batch of one under each flag.
     """
     results, fronts = [], []
     for scenario in scenarios:
@@ -308,23 +324,25 @@ def _run_batch(cfg, scenarios, genie, mode, cfo_floor_hz, gamma_prime):
         except OfdmJrcError as exc:
             results.append(exc)
     live = [i for i, r in enumerate(results) if r is None]
-    fg = None
+    fg, scored = None, [[] for _ in flags]
     try:
         if live:
             noisy = SampleGrid(y=np.stack([grid.y for _, grid in fronts]))
             frames = FrameSymbols(x=np.stack([frame.x for frame, _ in fronts]))
             fg = remove_known_symbols(fast_time_dft(noisy, cfg), frames)
-            scored = _score(cfg, fg, [scenarios[i] for i in live], genie, mode,
+            scored = _score(cfg, fg, [scenarios[i] for i in live], flags, mode,
                             cfo_floor_hz, gamma_prime)
-            for i, result in zip(live, scored):
-                results[i] = result
     except OfdmJrcError as exc:
-        if len(live) > 1:
-            return [run_trial(cfg, sc, genie, mode, cfo_floor_hz, gamma_prime)
-                    for sc in scenarios], fronts, None
-        results[live[0]] = exc
-    return ([_record(sc, genie, r) for sc, r in zip(scenarios, results)],
-            fronts, fg)
+        if len(live) > 1 or len(flags) > 1:
+            return [[run_trial(cfg, sc, genie, mode, cfo_floor_hz, gamma_prime)
+                     for sc in scenarios] for genie in flags], fronts, None
+        scored = [[exc]]
+    records = []
+    for genie, out in zip(flags, scored):
+        by_trial = dict(zip(live, out))
+        records.append([_record(sc, genie, by_trial.get(i, results[i]))
+                        for i, sc in enumerate(scenarios)])
+    return records, fronts, fg
 
 
 def run_batch(cfg: OfdmConfig, scenarios, genie: bool = False,
@@ -338,8 +356,8 @@ def run_batch(cfg: OfdmConfig, scenarios, genie: bool = False,
     calibration problems) are caught and recorded as an invalid trial
     rather than raised, and never touch the other trials of the batch.
     """
-    return _run_batch(cfg, list(scenarios), genie, mode, cfo_floor_hz,
-                      gamma_prime)[0]
+    return _run_batch(cfg, list(scenarios), (genie,), mode, cfo_floor_hz,
+                      gamma_prime)[0][0]
 
 
 def run_trial(cfg: OfdmConfig, scenario: Scenario, genie: bool = False,
@@ -356,23 +374,24 @@ def run_trial_with_grids(cfg: OfdmConfig, scenario: Scenario,
                          gamma_prime: float = 0.0):
     """run_trial's record and the (frame, noisy, fg) it scored, from one
     pass; the grids are None when the trial failed before fg existed."""
-    records, fronts, fg = _run_batch(cfg, [scenario], genie, mode,
+    records, fronts, fg = _run_batch(cfg, [scenario], (genie,), mode,
                                      cfo_floor_hz, gamma_prime)
     if fg is None:
-        return records[0], None
-    return records[0], (*fronts[0], FreqGrid(y_tilde=fg.y_tilde[0]))
+        return records[0][0], None
+    return records[0][0], (*fronts[0], FreqGrid(y_tilde=fg.y_tilde[0]))
 
 
-def _batch_task(args) -> list[TrialRecord]:
-    return run_batch(*args)
+def _batch_task(args) -> list[list[TrialRecord]]:
+    return _run_batch(*args)[0]
 
 
-def _run_many(cfg: OfdmConfig, scenarios, genie: bool, mode: str,
-              cfo_floor_hz: float, workers: int) -> list[TrialRecord]:
-    """Records of every scenario, run in chunks of batch_size(cfg) cut by
-    position, so the batches never depend on the worker count."""
+def _run_many(cfg: OfdmConfig, scenarios, flags, mode: str,
+              cfo_floor_hz: float, workers: int) -> list[list[TrialRecord]]:
+    """Records of every scenario under each flag, run in chunks of
+    batch_size(cfg) cut by position, so the batches never depend on the
+    worker count. One pool serves every flag."""
     size = batch_size(cfg)
-    chunks = [(cfg, scenarios[i:i + size], genie, mode, cfo_floor_hz)
+    chunks = [(cfg, scenarios[i:i + size], flags, mode, cfo_floor_hz, 0.0)
               for i in range(0, len(scenarios), size)]
     if workers <= 1 or len(chunks) <= 1:
         batches = [_batch_task(c) for c in chunks]
@@ -380,7 +399,8 @@ def _run_many(cfg: OfdmConfig, scenarios, genie: bool, mode: str,
         per_call = max(1, len(chunks) // (workers * 4))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_batch_task, chunks, chunksize=per_call))
-    return [rec for batch in batches for rec in batch]
+    return [[rec for batch in batches for rec in batch[f]]
+            for f in range(len(flags))]
 
 
 def auto_gamma_grid(t_stats: np.ndarray, n_per_side: int = 39) -> np.ndarray:
@@ -402,19 +422,22 @@ def auto_gamma_grid(t_stats: np.ndarray, n_per_side: int = 39) -> np.ndarray:
 
 
 def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
-              genie: bool, base_scenario: Scenario | None = None,
+              genie, base_scenario: Scenario | None = None,
               master_seed: int = 0, mode: str = MODE_AMPLITUDE,
               cfo_floor_hz: float = DEFAULT_CFO_FLOOR_HZ,
               workers: int = 1) -> list[RocCurve]:
-    """Monte Carlo threshold sweep: one RocCurve per SNR.
+    """Monte Carlo threshold sweep: one RocCurve per genie flag and SNR.
 
-    Per SNR, n_trials false-target trials and n_trials real-target trials
-    are run; every threshold then reuses the cached statistics, so the
-    whole grid costs one pipeline pass per trial. gamma_grid=None picks a
-    grid automatically from the statistics. base_scenario supplies the
-    fixed geometry (range, velocity, offset, cross section); its kind,
-    snr, offset, and seed are overridden per trial.
+    genie is one flag or a sequence of them; curves come out flag-major,
+    SNRs in order within each flag. Per SNR, n_trials false-target trials
+    and n_trials real-target trials are run once and scored under every
+    flag; every threshold then reuses the cached statistics, so the whole
+    grid costs one pipeline pass per trial. gamma_grid=None picks a grid
+    automatically from the statistics. base_scenario supplies the fixed
+    geometry (range, velocity, offset, cross section); its kind, snr,
+    offset, and seed are overridden per trial.
     """
+    flags = (genie,) if np.ndim(genie) == 0 else tuple(genie)
     snr_db_list = [float(s) for s in snr_db_list]
     if not snr_db_list:
         raise ConfigurationError("snr_db_list must not be empty")
@@ -437,33 +460,33 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
                 seed = trial_seed(master_seed, snr_idx, kind_idx, trial_idx)
                 scenarios.append(replace(base_scenario, kind=kind,
                                          f_cfo_hz=f_cfo, snr_db=snr, seed=seed))
-    records = _run_many(cfg, scenarios, genie, mode, cfo_floor_hz, workers)
-
     curves = []
-    for snr_idx, snr in enumerate(snr_db_list):
-        # Records run snr -> truth side -> trial, n_trials per side.
-        start = 2 * snr_idx * n_trials
-        false_recs = records[start:start + n_trials]
-        real_recs = records[start + n_trials:start + 2 * n_trials]
-        t_false = np.array([r.t_stat for r in false_recs if r.valid])
-        t_real = np.array([r.t_stat for r in real_recs if r.valid])
-        n_invalid = 2 * n_trials - t_false.size - t_real.size
-        gamma = (gamma_grid if gamma_grid is not None
-                 else auto_gamma_grid(np.concatenate([t_false, t_real])))
-        k_fa = (t_false[None, :] >= gamma[:, None]).sum(axis=1)
-        k_d = (t_real[None, :] >= gamma[:, None]).sum(axis=1)
-        nf, nr = t_false.size, t_real.size
-        p_fa = k_fa / nf if nf else np.zeros(gamma.size)
-        p_d = k_d / nr if nr else np.zeros(gamma.size)
-        fa_lo, fa_hi = wilson_interval(k_fa, nf)
-        d_lo, d_hi = wilson_interval(k_d, nr)
-        curves.append(RocCurve(
-            snr_db=snr, genie=genie, gamma=gamma,
-            p_fa=p_fa, p_d=p_d,
-            p_fa_lo=fa_lo, p_fa_hi=fa_hi, p_d_lo=d_lo, p_d_hi=d_hi,
-            n_trials=n_trials, n_false_valid=nf, n_real_valid=nr,
-            n_invalid=n_invalid,
-        ))
+    for genie, records in zip(flags, _run_many(cfg, scenarios, flags, mode,
+                                               cfo_floor_hz, workers)):
+        for snr_idx, snr in enumerate(snr_db_list):
+            # Records run snr -> truth side -> trial, n_trials per side.
+            start = 2 * snr_idx * n_trials
+            false_recs = records[start:start + n_trials]
+            real_recs = records[start + n_trials:start + 2 * n_trials]
+            t_false = np.array([r.t_stat for r in false_recs if r.valid])
+            t_real = np.array([r.t_stat for r in real_recs if r.valid])
+            n_invalid = 2 * n_trials - t_false.size - t_real.size
+            gamma = (gamma_grid if gamma_grid is not None
+                     else auto_gamma_grid(np.concatenate([t_false, t_real])))
+            k_fa = (t_false[None, :] >= gamma[:, None]).sum(axis=1)
+            k_d = (t_real[None, :] >= gamma[:, None]).sum(axis=1)
+            nf, nr = t_false.size, t_real.size
+            p_fa = k_fa / nf if nf else np.zeros(gamma.size)
+            p_d = k_d / nr if nr else np.zeros(gamma.size)
+            fa_lo, fa_hi = wilson_interval(k_fa, nf)
+            d_lo, d_hi = wilson_interval(k_d, nr)
+            curves.append(RocCurve(
+                snr_db=snr, genie=genie, gamma=gamma,
+                p_fa=p_fa, p_d=p_d,
+                p_fa_lo=fa_lo, p_fa_hi=fa_hi, p_d_lo=d_lo, p_d_hi=d_hi,
+                n_trials=n_trials, n_false_valid=nf, n_real_valid=nr,
+                n_invalid=n_invalid,
+            ))
     return curves
 
 

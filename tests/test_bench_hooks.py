@@ -10,6 +10,7 @@ here.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import ofdmjrc.cli
 import ofdmjrc.montecarlo as mc
 from ofdmjrc import Scenario, TargetKind, run_trial
+from ofdmjrc.svgplot import parse_roc_csv
 
 _PHASES = Path(__file__).resolve().parents[1] / "perfbench" / "phases.py"
 
@@ -32,6 +34,7 @@ def _phases_tuple(name: str) -> tuple[str, ...]:
 
 STAGES = _phases_tuple("STAGES")
 EXPORT_CALLS = _phases_tuple("EXPORT_CALLS")
+ROC_SETS = _phases_tuple("ROC_SETS")
 
 
 def test_perfbench_lists_the_thirteen_stages():
@@ -72,3 +75,34 @@ def test_cli_binds_every_name_the_export_trace_wraps():
     missing = [name for name in (*EXPORT_CALLS, "roc_sweep", "write_roc_csv")
                if not callable(getattr(ofdmjrc.cli, name, None))]
     assert not missing
+
+
+def test_roc_returns_every_curve_from_one_sweep_call(tmp_path, monkeypatch,
+                                                    capsys):
+    # perfbench counts a sweep's trials from the curves cli.roc_sweep
+    # returns; a second call, or curves missing from it, would make its
+    # trials_per_s read double, half or zero.
+    assert "mc.genie=both" in ROC_SETS
+    calls = []
+    sweep = ofdmjrc.cli.roc_sweep
+
+    def kept(*args, **kwargs):
+        calls.append(sweep(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(ofdmjrc.cli, "roc_sweep", kept)
+    sets = (*ROC_SETS, "mc.n_trials=3")
+    argv = ["roc", *(a for s in sets for a in ("--set", s)),
+            "--workers", "1", "--out", str(tmp_path)]
+    assert ofdmjrc.cli.main(argv) == 0
+    assert len(calls) == 1
+    curves = calls[0]
+    in_csv = parse_roc_csv(tmp_path / "roc.csv")
+    assert sorted((c.snr_db, str(c.genie).lower()) for c in curves) == sorted(
+        in_csv)
+    assert len(curves) == len(in_csv) == 4
+    printed = re.search(r"\((\d+) curves, (\d+) trials, (\d+) invalid\)",
+                        capsys.readouterr().out)
+    assert printed and int(printed[1]) == len(curves)
+    assert int(printed[2]) == sum(2 * c.n_trials for c in curves) == 4 * 2 * 3
+    assert int(printed[3]) == sum(c.n_invalid for c in curves)

@@ -130,10 +130,27 @@ def test_pipeline_failure_without_grids_exits_3(tmp_path):
                            "grid at finite SNR\n")
     assert json.loads((out / "trial.json").read_text())["valid"] is False
     assert not (out / "frame.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["subcommand"] == "simulate"
+    assert [p.rsplit("/", 1)[-1] for p in manifest["outputs"]] == ["trial.json"]
     proc = _run("rdmap", *_LOST, "--out", str(out))
     assert proc.returncode == 3
     assert "cannot calibrate noise" in proc.stderr
     assert not (out / "rdmap.csv").exists()
+
+
+def test_roc_reports_curves_without_valid_trials(tmp_path):
+    out = tmp_path / "out"
+    proc = _run("roc", *_LOST, "--set", "mc.n_trials=4", "--workers", "1",
+                "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("(4 curves, 32 trials, 32 invalid)\n")
+    assert proc.stderr.splitlines() == [
+        f"warning: curve snr_db={snr} genie={genie} has 0 valid "
+        "false-target and 0 valid real-target trials"
+        for genie in ("false", "true") for snr in ("9.0", "13.0")]
+    rows = (out / "roc.csv").read_text().splitlines()[1:]
+    assert rows and all(r.split(",")[3:5] == ["0.0", "0.0"] for r in rows)
 
 
 def test_trial_failing_after_its_grids_still_dumps_them(tmp_path):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import ofdmjrc.montecarlo as mc
 from ofdmjrc import (
+    MODE_AMPLITUDE,
     CalibrationError,
     ConfigurationError,
     Decision,
@@ -275,3 +277,96 @@ def test_ill_conditioned_config_invalidates_every_trial():
     assert all(c.n_false_valid == c.n_real_valid == 0 for c in curves)
     recs = run_batch(cfg, _mixed_scenarios(7, master_seed=3))
     assert all(not r.valid and r.error == str(ill.value) for r in recs)
+
+
+# -- both estimation modes in one pass ----------------------------------------
+
+def _curve_bits(curve):
+    """Every field of a RocCurve, arrays as their raw bytes."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                 for v in (getattr(curve, f.name) for f in fields(curve)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("numerology", ["default", "large"])
+def test_sweep_over_both_flags_equals_the_single_flag_sweeps(numerology,
+                                                            workers):
+    cfg = build_config(**({} if numerology == "default" else _LARGE))
+    kw = dict(snr_db_list=[-5.0, 9.0], gamma_grid=None, n_trials=7,
+              base_scenario=_FALSE, master_seed=21, workers=workers)
+    both = roc_sweep(cfg, genie=(False, True), **kw)
+    apart = roc_sweep(cfg, genie=False, **kw) + roc_sweep(cfg, genie=True, **kw)
+    assert [(c.genie, c.snr_db) for c in both] == [
+        (False, -5.0), (False, 9.0), (True, -5.0), (True, 9.0)]
+    assert [_curve_bits(c) for c in both] == [_curve_bits(c) for c in apart]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("numerology", ["default", "large"])
+def test_a_failed_trial_stays_alone_under_both_flags(numerology, workers):
+    cfg = build_config(**({} if numerology == "default" else _LARGE))
+    good = _mixed_scenarios(10, master_seed=17)
+    lost = replace(_FALSE, r0_m=1e80)
+    # the lost trials sit inside a batch at either batch size (6 and 2)
+    scenarios = [*good[:3], lost, *good[3:7], replace(lost, snr_db=np.inf),
+                 *good[7:]]
+    flags = (False, True)
+    together = mc._run_many(cfg, scenarios, flags, MODE_AMPLITUDE,
+                            mc.DEFAULT_CFO_FLOOR_HZ, workers)
+    for genie, recs in zip(flags, together):
+        assert [r.genie for r in recs] == [genie] * len(scenarios)
+        assert [r.valid for r in recs] == [sc.r0_m != 1e80 for sc in scenarios]
+        assert [_bits(r) for r in recs] == [
+            _bits(run_trial(cfg, sc, genie)) for sc in scenarios]
+
+
+def test_a_whole_batch_failure_reruns_each_trial_alone_per_flag(cfg,
+                                                                monkeypatch):
+    scenarios = _mixed_scenarios(5, master_seed=13)
+    alone = [[_bits(run_trial(cfg, sc, g)) for sc in scenarios]
+             for g in (False, True)]
+    templates = mc.synth_templates
+    stacks = []
+
+    def genie_stack_fails(c, est0s, est1s):
+        # only genie templates carry the true 10 kHz offset
+        genie = any(e.f_cfo_hat_hz == _FALSE.f_cfo_hz for e in est0s)
+        stacks.append((genie, len(est0s)))
+        if genie and len(est0s) > 1:
+            raise NoPeakError("stack refused")
+        return templates(c, est0s, est1s)
+
+    monkeypatch.setattr(mc, "synth_templates", genie_stack_fails)
+    recs = mc._run_batch(cfg, scenarios, (False, True), MODE_AMPLITUDE,
+                         mc.DEFAULT_CFO_FLOOR_HZ, 0.0)[0]
+    assert [[_bits(r) for r in flag] for flag in recs] == alone
+    # one stack per flag, the genie one refused; then each trial alone
+    assert stacks == [(False, 5), (True, 5)] + [(False, 1)] * 5 + [
+        (sc.kind is TargetKind.FALSE_TARGET, 1) for sc in scenarios]
+
+
+def test_both_modes_run_each_front_half_and_peak_search_once(tmp_path,
+                                                            monkeypatch):
+    import ofdmjrc.cli
+
+    calls = {"generate_frame": 0, "extract_peak_observations": 0}
+
+    def counted(name):
+        fn = getattr(mc, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mc, name, counted(name))
+    rc = ofdmjrc.cli.main(["roc", "--set", "mc.genie=both",
+                           "--set", "mc.snr_db_list=-5,9",
+                           "--set", "mc.n_trials=5", "--workers", "1",
+                           "--out", str(tmp_path)])
+    assert rc == 0
+    n_scenarios = 2 * 2 * 5
+    size = mc.batch_size(build_config())
+    assert calls == {"generate_frame": n_scenarios,
+                     "extract_peak_observations": -(-n_scenarios // size)}
