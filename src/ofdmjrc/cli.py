@@ -43,15 +43,10 @@ def _check_config_path(config_path):
 
 
 def _trial_dict(rec):
+    scenario = asdict(rec.scenario) | {"kind": rec.scenario.kind.value}
+    del scenario["seed"]  # reported once, beside it
     out = {
-        "scenario": {
-            "kind": rec.scenario.kind.value,
-            "r0_m": rec.scenario.r0_m,
-            "v_mps": rec.scenario.v_mps,
-            "f_cfo_hz": rec.scenario.f_cfo_hz,
-            "sigma_rcs_m2": rec.scenario.sigma_rcs_m2,
-            "snr_db": rec.scenario.snr_db,
-        },
+        "scenario": scenario,
         "seed": rec.seed,
         "genie": rec.genie,
         "truth": rec.truth.value,

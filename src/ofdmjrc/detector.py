@@ -67,20 +67,15 @@ def _templates(cfg: OfdmConfig, r0_m, v_mps, f_cfo_hz) -> np.ndarray:
     vectors, ordering z[k + m*K].
 
     Element (k, m) carries e^{j2pi(k delta_f(-tau + (2v/c) m t_sym) + f_slow m t_sym)}
-    with tau = 2 r0/c and f_slow the slow-time frequency used by the
-    channel synthesizer, so a noiseless grid with matching parameters is
-    exactly collinear with its template.
+    with tau = 2 r0/c, from the channel synthesizer's phasor kernel, so a
+    noiseless grid with matching parameters is collinear with its template.
     """
     consts = cfg.cached(grid_constants)
-    m_t = consts.m_t_s
     r0_m, v_mps, f_cfo_hz = (np.asarray(a, dtype=np.float64)[:, None]
                              for a in (r0_m, v_mps, f_cfo_hz))
-    tau = 2.0 * r0_m / C_LIGHT
-    f_slow = _kernels._slow_time_freq(cfg.f_c_hz, f_cfo_hz, v_mps, C_LIGHT)
-    two_v_c = 2.0 * v_mps / C_LIGHT
-    phase = (consts.k_hz * (two_v_c * m_t - tau)[:, :, None]
-             + (f_slow * m_t)[:, :, None])  # [n, m, k]
-    u = np.exp(2j * np.pi * phase).reshape(phase.shape[0], -1)
+    u = _kernels.grid_phasors(consts.k_idx, cfg.delta_f_hz, consts.m_t_s,
+                              2.0 * r0_m / C_LIGHT, v_mps, f_cfo_hz,
+                              cfg.f_c_hz, C_LIGHT).reshape(r0_m.shape[0], -1)
     return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
 

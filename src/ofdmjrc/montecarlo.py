@@ -296,15 +296,12 @@ def _score(cfg, fg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
 
 
 def _record(scenario: Scenario, genie: bool, result) -> TrialRecord:
-    if isinstance(result, Exception):
-        return TrialRecord(scenario=scenario, genie=genie, truth=scenario.kind,
-                           seed=scenario.seed, est0=None, est1=None,
-                           t_stat=float("nan"), outcome=None,
-                           valid=False, error=str(result))
-    est0, est1, t_stat, outcome = result
+    failed = isinstance(result, Exception)
+    est0, est1, t_stat, outcome = (None, None, float("nan"), None) if failed else result
     return TrialRecord(scenario=scenario, genie=genie, truth=scenario.kind,
-                       seed=scenario.seed, est0=est0, est1=est1,
-                       t_stat=t_stat, outcome=outcome)
+                       seed=scenario.seed, est0=est0, est1=est1, t_stat=t_stat,
+                       outcome=outcome, valid=not failed,
+                       error=str(result) if failed else None)
 
 
 def _run_batch(cfg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
@@ -381,24 +378,35 @@ def run_trial_with_grids(cfg: OfdmConfig, scenario: Scenario,
     return records[0][0], (*fronts[0], FreqGrid(y_tilde=fg.y_tilde[0]))
 
 
-def _batch_task(args) -> list[list[TrialRecord]]:
-    return _run_batch(*args)[0]
+_WORKER_RUN = None  # cfg and _run_batch's trailing arguments, set per pool worker
+
+
+def _init_worker(*run) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = run
+
+
+def _worker_batch(scenarios) -> list[list[TrialRecord]]:
+    return _run_batch(_WORKER_RUN[0], scenarios, *_WORKER_RUN[1:])[0]
 
 
 def _run_many(cfg: OfdmConfig, scenarios, flags, mode: str,
               cfo_floor_hz: float, workers: int) -> list[list[TrialRecord]]:
     """Records of every scenario under each flag, run in chunks of
     batch_size(cfg) cut by position, so the batches never depend on the
-    worker count. One pool serves every flag."""
+    worker count. One pool of at most one worker per chunk serves every
+    flag; each worker gets cfg once and keeps its per-config caches."""
     size = batch_size(cfg)
-    chunks = [(cfg, scenarios[i:i + size], flags, mode, cfo_floor_hz, 0.0)
-              for i in range(0, len(scenarios), size)]
-    if workers <= 1 or len(chunks) <= 1:
-        batches = [_batch_task(c) for c in chunks]
+    chunks = [scenarios[i:i + size] for i in range(0, len(scenarios), size)]
+    run = (flags, mode, cfo_floor_hz, 0.0)
+    workers = min(workers, len(chunks))
+    if workers <= 1:
+        batches = [_run_batch(cfg, c, *run)[0] for c in chunks]
     else:
         per_call = max(1, len(chunks) // (workers * 4))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_batch_task, chunks, chunksize=per_call))
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, initializer=_init_worker, initargs=(cfg, *run)) as pool:
+            batches = list(pool.map(_worker_batch, chunks, chunksize=per_call))
     return [[rec for batch in batches for rec in batch[f]]
             for f in range(len(flags))]
 
@@ -443,6 +451,8 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
         raise ConfigurationError("snr_db_list must not be empty")
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if gamma_grid is not None:
         gamma_grid = np.asarray(gamma_grid, dtype=np.float64)
         if gamma_grid.size == 0:

@@ -149,16 +149,17 @@ def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations
     x0 = d0.ravel() / (ld * cfg.delta_f_hz)
     half = np.full(x0.shape, 1.0 / (ld * cfg.delta_f_hz))
     delays = _kernels.refine_tones(np.swapaxes(y_tilde, -1, -2).reshape(-1, k),
-                                   consts.k_hz, 1.0, x0, half,
-                                   cfg.peak_refine_tol)
+                                   consts.k_idx, cfg.delta_f_hz, 1.0, x0,
+                                   half, cfg.peak_refine_tol)
     delays = np.mod(delays, cfg.t_sym_s).reshape(d0.shape)
 
     lm = cfg.m_symbols * cfg.zero_pad
     o0 = np.argmax(np.abs(_doppler_spectrum(cfg, y_tilde)), axis=-1)
     f0 = consts.doppler_hz[o0.ravel()]
     half_f = np.full(f0.shape, 1.0 / (lm * cfg.t_sym_s))
-    dopps = _kernels.refine_tones(y_tilde.reshape(-1, m), consts.m_t_s, -1.0,
-                                  f0, half_f, cfg.peak_refine_tol)
+    dopps = _kernels.refine_tones(y_tilde.reshape(-1, m), np.arange(m),
+                                  cfg.t_sym_s, -1.0, f0, half_f,
+                                  cfg.peak_refine_tol)
     span = 1.0 / cfg.t_sym_s
     dopps = (np.mod(dopps + span / 2.0, span) - span / 2.0).reshape(o0.shape)
 

@@ -222,6 +222,15 @@ def test_plot_rejects_empty_body(tmp_path):
     assert proc.returncode == 2
 
 
+def test_roc_rejects_fewer_than_one_worker(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    proc = _run("roc", "--config", cfg, "--out", str(out), "--workers", "0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: workers must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_roc_csv_identical_across_worker_counts(tmp_path):
     cfg = _write_cfg(tmp_path, "mc.n_trials = 5\nmc.snr_db_list = 9\n"
                                "mc.genie = estimated\n")

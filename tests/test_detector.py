@@ -15,6 +15,7 @@ from ofdmjrc import (
     Scenario,
     TargetKind,
     TemplatePair,
+    build_config,
     decide,
     fast_time_dft,
     generate_frame,
@@ -23,7 +24,10 @@ from ofdmjrc import (
     synth_false_target,
     synth_templates,
 )
-from ofdmjrc.waveform import C_LIGHT
+from ofdmjrc.detector import _templates as phase_templates
+from ofdmjrc.waveform import C_LIGHT, active_subcarriers
+
+_LARGE = dict(n_fft=256, k_active=200, n_pilot=24, m_symbols=32, zero_pad=4)
 
 
 def _est(r0, v, f_cfo, hypothesis):
@@ -49,6 +53,33 @@ def test_templates_are_unit_norm(cfg):
 def test_templates_coincide_when_offset_is_zero(cfg):
     tp = _templates(cfg, r0=80.0, v=-15.0, f_cfo=0.0)
     assert np.array_equal(tp.u0, tp.u1)
+
+
+def test_templates_coincide_at_zero_offset_on_the_large_grid():
+    cfg = build_config(**_LARGE)
+    tp = _templates(cfg, r0=80.0, v=-15.0, f_cfo=0.0)
+    assert np.array_equal(tp.u0, tp.u1)
+
+
+def _exp_templates(cfg, r0_m, v_mps, f_cfo_hz):
+    """The template formula with one complex exp per element."""
+    k_hz = active_subcarriers(cfg) * cfg.delta_f_hz
+    m_t = np.arange(cfg.m_symbols) * cfg.t_sym_s
+    r0_m, v_mps, f_cfo_hz = (np.asarray(a, dtype=np.float64)[:, None]
+                             for a in (r0_m, v_mps, f_cfo_hz))
+    f_slow = (cfg.f_c_hz + f_cfo_hz) * (2.0 * v_mps / C_LIGHT) + f_cfo_hz
+    phase = (k_hz * ((2.0 * v_mps / C_LIGHT) * m_t - 2.0 * r0_m / C_LIGHT)[:, :, None]
+             + (f_slow * m_t)[:, :, None])  # [n, m, k]
+    u = np.exp(2j * np.pi * phase).reshape(phase.shape[0], -1)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+
+def test_power_templates_match_the_exp_formula_on_the_large_grid():
+    cfg = build_config(**_LARGE)
+    args = ([100.0, 37.5, 480.0, 2.0], [10.0, -100.0, 100.0, 0.0],
+            [10e3, 0.0, -3.3e3, 150e3])
+    np.testing.assert_allclose(phase_templates(cfg, *args),
+                               _exp_templates(cfg, *args), rtol=1e-12)
 
 
 def test_template_requires_offset_estimate(cfg):

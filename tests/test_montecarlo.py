@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import fields, replace
 
 import numpy as np
@@ -370,3 +371,47 @@ def test_both_modes_run_each_front_half_and_peak_search_once(tmp_path,
     size = mc.batch_size(build_config())
     assert calls == {"generate_frame": n_scenarios,
                      "extract_peak_observations": -(-n_scenarios // size)}
+
+
+class _SpyPool(concurrent.futures.ProcessPoolExecutor):
+    """A process pool that records its size and the items of each task."""
+
+    sizes: list = []
+    items: list = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+    def map(self, fn, *iterables, **kwargs):
+        chunks = list(iterables[0])
+        self.items.extend(chunks)
+        return super().map(fn, chunks, **kwargs)
+
+
+def test_the_pool_gets_one_worker_per_chunk_at_most_and_tasks_carry_scenarios(
+        cfg, monkeypatch):
+    monkeypatch.setattr(_SpyPool, "sizes", [])
+    monkeypatch.setattr(_SpyPool, "items", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
+    scenarios = _mixed_scenarios(2 * mc.batch_size(cfg), master_seed=31)
+    flags = (False, True)
+    serial = mc._run_many(cfg, scenarios, flags, MODE_AMPLITUDE,
+                          mc.DEFAULT_CFO_FLOOR_HZ, 1)
+    pooled = mc._run_many(cfg, scenarios, flags, MODE_AMPLITUDE,
+                          mc.DEFAULT_CFO_FLOOR_HZ, 6)
+    assert _SpyPool.sizes == [2]
+    assert [len(c) for c in _SpyPool.items] == [mc.batch_size(cfg)] * 2
+    assert all(isinstance(sc, Scenario) for c in _SpyPool.items for sc in c)
+    assert [[_bits(r) for r in recs] for recs in pooled] == \
+        [[_bits(r) for r in recs] for recs in serial]
+    # one chunk runs in this process, without a pool
+    mc._run_many(cfg, scenarios[:3], flags, MODE_AMPLITUDE,
+                 mc.DEFAULT_CFO_FLOOR_HZ, 6)
+    assert _SpyPool.sizes == [2]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_roc_sweep_rejects_fewer_than_one_worker(cfg, workers):
+    with pytest.raises(ConfigurationError, match="workers"):
+        _tiny_sweep(cfg, workers=workers)
