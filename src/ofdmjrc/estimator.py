@@ -20,11 +20,21 @@ solver keeps this disparity from poisoning the factorization.
 The designs depend on the configuration alone, so build_design_matrices
 factors each one once per config: its condition number and its
 column-scaled pseudo-inverse are kept, and each fit is then a matvec.
+
+Template conditioning (bounded_fits): the templates are built from
+bounded copies of the raw fits. Fitted under h1, a false target absorbs
+its offset into velocity (about 300 m/s per 10 kHz at 5 GHz), so the
+velocity is clamped to +-v_max and the range re-solved from the delay
+rows, where it is the only other unknown. The h0 offset is the genie's
+true value, or the Doppler-row residual against that bounded geometry,
+snapped to zero below cfo_floor_hz. A zero offset gives h0 the h1
+geometry, so the templates coincide and the statistic is exactly zero:
+the zero-offset adversary is indistinguishable by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,7 +108,8 @@ class DesignMatrices:
     a1: [n_obs] offset indicator, zero on delay rows, one on Doppler rows.
         The velocity-offset cross term it omits is below 1e-3 Hz for
         vehicular speeds and plausible offsets, and is ignored throughout.
-    h0, h1: ScaledLs of h0_matrix() and h1_matrix().
+    h0: ScaledLs of [a2, a1], the false-target fit [R, v, f_cfo].
+    h1: ScaledLs of a2, the real-target fit [R, v].
     """
 
     a2: np.ndarray
@@ -107,16 +118,8 @@ class DesignMatrices:
     h1: ScaledLs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h0", ScaledLs(self.h0_matrix()))
-        object.__setattr__(self, "h1", ScaledLs(self.h1_matrix()))
-
-    def h1_matrix(self) -> np.ndarray:
-        """Design for the real-target fit (no offset column)."""
-        return self.a2
-
-    def h0_matrix(self) -> np.ndarray:
-        """Design for the false-target fit, parameter order [R, v, f_cfo]."""
-        return np.column_stack([self.a2, self.a1])
+        object.__setattr__(self, "h0", ScaledLs(np.column_stack([self.a2, self.a1])))
+        object.__setattr__(self, "h1", ScaledLs(self.a2))
 
 
 def _design_matrices(cfg: OfdmConfig) -> DesignMatrices:
@@ -207,3 +210,44 @@ def estimate_h1(obs: ObservationVector, dm: DesignMatrices) -> Estimates:
     return Estimates(r0_hat_m=float(theta[0]), v_hat_mps=float(theta[1]),
                      f_cfo_hat_hz=None, residual_norm=rnorm,
                      hypothesis="h1")
+
+
+def _genie_solver(cfg: OfdmConfig, f_cfo_hz: float) -> ScaledLs:
+    """Geometry fit [R, v] with the offset known exactly, including the
+    otherwise-dropped velocity-offset cross term in the v column."""
+    a = build_design_matrices(cfg).a2.copy()
+    a[cfg.m_symbols:, 1] = (2.0 / C_LIGHT) * (
+        cfg.f_c_hz + f_cfo_hz + cfg.cached(grid_constants).k_hz)
+    return ScaledLs(a)
+
+
+def _bounded(cfg: OfdmConfig, obs: ObservationVector, r_m, v_mps):
+    """(R, v) with v clamped to +-v_max and, if it moved, R re-solved."""
+    v = float(np.clip(v_mps, -cfg.v_max_mps, cfg.v_max_mps))
+    if v == v_mps:
+        return float(r_m), v
+    m_t = cfg.cached(grid_constants).m_t_s
+    return float(0.5 * C_LIGHT * np.mean(
+        obs.f[:obs.n_delay] + (2.0 * v / C_LIGHT) * m_t)), v
+
+
+def bounded_fits(cfg: OfdmConfig, obs: ObservationVector, est0: Estimates,
+                 est1: Estimates, genie_cfo_hz: float | None,
+                 cfo_floor_hz: float) -> tuple[Estimates, Estimates]:
+    """The (est0, est1) copies the templates are built from; see the
+    module docstring. genie_cfo_hz is the known offset, or None to
+    estimate it from the Doppler rows."""
+    r1, v1 = _bounded(cfg, obs, est1.r0_hat_m, est1.v_hat_mps)
+    r0, v0, f = r1, v1, genie_cfo_hz
+    if f is None:
+        resid = obs.f[obs.n_delay:] - v1 * cfg.cached(grid_constants).v_coef
+        f = float(np.mean(resid) / (1.0 + 2.0 * v1 / C_LIGHT))
+        f = 0.0 if abs(f) < cfo_floor_hz else f
+    elif f != 0.0:
+        rhs = obs.f.copy()
+        rhs[obs.n_delay:] -= f
+        theta, _ = cfg.cached(_genie_solver, float(f)).solve(rhs)
+        r0, v0 = _bounded(cfg, obs, theta[0], theta[1])
+    # "or 0.0": a zero offset of either sign becomes +0.0
+    return (replace(est0, r0_hat_m=r0, v_hat_mps=v0, f_cfo_hat_hz=float(f) or 0.0),
+            replace(est1, r0_hat_m=r1, v_hat_mps=v1))

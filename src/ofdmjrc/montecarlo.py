@@ -28,18 +28,8 @@ flag's records are bit for bit what that flag gets alone. roc_sweep
 scores every trial under all its flags in one pass and one worker pool.
 
 Template conditioning: the raw fits are kept verbatim in the record,
-but the templates are built from conditioned copies. A false-target
-grid fitted under the real-target hypothesis absorbs the frequency
-offset into velocity (about 300 m/s per 10 kHz at 5 GHz), which is
-unphysical; the template velocity is therefore clamped to the
-configured v_max and the range re-solved from the delay rows under the
-clamped velocity. The offset used for the false-target template comes
-either from the genie (the true value) or from the Doppler-row residual
-against the conditioned real-target geometry, snapped to zero when it
-is below cfo_floor_hz. A zero offset short-circuits to the exact same
-geometry for both templates so the statistic is exactly zero, keeping
-the zero-offset adversary indistinguishable by construction rather than
-by floating-point accident.
+but the templates are built from the bounded copies that
+estimator.bounded_fits makes of them.
 """
 
 from __future__ import annotations
@@ -49,7 +39,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import estimator
 from .channel import (
     Scenario,
     TargetKind,
@@ -70,7 +59,7 @@ from .errors import ConfigurationError, OfdmJrcError
 from .estimator import (
     Estimates,
     ObservationVector,
-    ScaledLs,
+    bounded_fits,
     build_design_matrices,
     estimate_h0,
     estimate_h1,
@@ -82,19 +71,14 @@ from .rdmap import (
     fast_time_dft,
     remove_known_symbols,
 )
-from .waveform import (
-    C_LIGHT,
-    FrameSymbols,
-    OfdmConfig,
-    generate_frame,
-    grid_constants,
-)
+from .waveform import FrameSymbols, OfdmConfig, generate_frame
 
 DEFAULT_CFO_FLOOR_HZ = 1.0
 # Complex values of zero-padded delay spectrum allowed per sweep batch
 # (see batch_size); it caps what a batch adds to peak memory at a few MB.
 _BATCH_VALUES = 1 << 16
 WILSON_Z = 1.959963984540054  # two-sided 95%
+ROC_HEADER = "snr_db,genie,gamma,p_fa,p_d,p_fa_lo,p_fa_hi,p_d_lo,p_d_hi,n_trials"
 
 
 @dataclass(frozen=True)
@@ -174,65 +158,6 @@ def batch_size(cfg: OfdmConfig) -> int:
     return max(1, _BATCH_VALUES // (cfg.m_symbols * cfg.n_fft * cfg.zero_pad))
 
 
-def _refit_range(cfg: OfdmConfig, delay_obs: np.ndarray, v_mps: float) -> float:
-    """Range from the delay rows alone, given a fixed velocity."""
-    m_t = cfg.cached(grid_constants).m_t_s
-    return float(0.5 * C_LIGHT * np.mean(delay_obs + (2.0 * v_mps / C_LIGHT) * m_t))
-
-
-def _genie_solver(cfg: OfdmConfig, f_cfo_hz: float) -> ScaledLs:
-    """Geometry fit [R, v] with the offset known exactly, including the
-    otherwise-dropped velocity-offset cross term in the v column."""
-    # Called through estimator: perfbench traces this module's
-    # build_design_matrices as a stage that runs once per trial.
-    a = estimator.build_design_matrices(cfg).a2.copy()
-    a[cfg.m_symbols:, 1] = (2.0 / C_LIGHT) * (
-        cfg.f_c_hz + f_cfo_hz + cfg.cached(grid_constants).k_hz)
-    return ScaledLs(a)
-
-
-def _condition_estimates(cfg: OfdmConfig, obs: ObservationVector,
-                         est0: Estimates, est1: Estimates,
-                         scenario: Scenario, genie: bool,
-                         cfo_floor_hz: float) -> tuple[Estimates, Estimates]:
-    """Conditioned copies of the fits used only for template synthesis."""
-    delay_obs = obs.f[:obs.n_delay]
-    dopp_obs = obs.f[obs.n_delay:]
-
-    v1t = float(np.clip(est1.v_hat_mps, -cfg.v_max_mps, cfg.v_max_mps))
-    if v1t != est1.v_hat_mps:
-        r1t = _refit_range(cfg, delay_obs, v1t)
-    else:
-        r1t = est1.r0_hat_m
-    est1_t = replace(est1, r0_hat_m=r1t, v_hat_mps=v1t)
-
-    if genie:
-        f_t = float(scenario.f_cfo_hz)
-    else:
-        resid = dopp_obs - v1t * cfg.cached(grid_constants).v_coef
-        f_t = float(np.mean(resid) / (1.0 + 2.0 * v1t / C_LIGHT))
-        if abs(f_t) < cfo_floor_hz:
-            f_t = 0.0
-
-    if f_t == 0.0:
-        est0_t = replace(est0, r0_hat_m=r1t, v_hat_mps=v1t, f_cfo_hat_hz=0.0)
-        return est0_t, est1_t
-
-    if genie:
-        rhs = obs.f.copy()
-        rhs[obs.n_delay:] -= f_t
-        theta, _ = cfg.cached(_genie_solver, f_t).solve(rhs)
-        v0t = float(np.clip(theta[1], -cfg.v_max_mps, cfg.v_max_mps))
-        if v0t != theta[1]:
-            r0t = _refit_range(cfg, delay_obs, v0t)
-        else:
-            r0t = float(theta[0])
-        est0_t = replace(est0, r0_hat_m=r0t, v_hat_mps=v0t, f_cfo_hat_hz=f_t)
-    else:
-        est0_t = replace(est0, r0_hat_m=r1t, v_hat_mps=v1t, f_cfo_hat_hz=f_t)
-    return est0_t, est1_t
-
-
 def _front_half(cfg: OfdmConfig, scenario: Scenario):
     """Frame and noisy sample grid of one trial, from its own three RNG
     substreams of scenario.seed."""
@@ -278,8 +203,9 @@ def _score(cfg, fg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
         for row, (scenario, fit) in enumerate(zip(scenarios, fits)):
             if not isinstance(fit, Exception):
                 try:
-                    kept.append((row, *_condition_estimates(
-                        cfg, *fit, scenario, genie, cfo_floor_hz)))
+                    kept.append((row, *bounded_fits(
+                        cfg, *fit, scenario.f_cfo_hz if genie else None,
+                        cfo_floor_hz)))
                 except OfdmJrcError as exc:
                     out[row] = exc
         if kept:
@@ -304,6 +230,14 @@ def _record(scenario: Scenario, genie: bool, result) -> TrialRecord:
                        error=str(result) if failed else None)
 
 
+def _check_detector(cfo_floor_hz: float, gamma_prime: float) -> None:
+    """A NaN floor would never snap an offset to zero, and a NaN threshold
+    would fail every decision; +-inf stay legal."""
+    for name, value in (("cfo_floor_hz", cfo_floor_hz), ("gamma_prime", gamma_prime)):
+        if np.isnan(value):
+            raise ConfigurationError(f"{name} must not be NaN")
+
+
 def _run_batch(cfg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
     """run_batch's records under each flag in flags, plus each live
     trial's (frame, noisy) and the live trials' stacked symbol-removed
@@ -313,6 +247,7 @@ def _run_batch(cfg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
     stage raises, a lone live trial under a lone flag takes the error;
     otherwise every trial reruns as a batch of one under each flag.
     """
+    _check_detector(cfo_floor_hz, gamma_prime)
     results, fronts = [], []
     for scenario in scenarios:
         try:
@@ -453,6 +388,9 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if master_seed < 0:
+        raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
+    _check_detector(cfo_floor_hz, 0.0)
     if gamma_grid is not None:
         gamma_grid = np.asarray(gamma_grid, dtype=np.float64)
         if gamma_grid.size == 0:
@@ -504,8 +442,7 @@ def write_roc_csv(path, curves) -> None:
     """CSV with one row per (curve, threshold); floats use repr for
     lossless round trips, so identical sweeps produce identical bytes."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("snr_db,genie,gamma,p_fa,p_d,p_fa_lo,p_fa_hi,p_d_lo,p_d_hi,"
-                 "n_trials\n")
+        fh.write(ROC_HEADER + "\n")
         for c in curves:
             genie = "true" if c.genie else "false"
             for i in range(c.gamma.size):

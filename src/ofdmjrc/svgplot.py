@@ -7,9 +7,7 @@ polyline per (snr_db, genie) curve group on a fixed [0,1]x[0,1] frame.
 from __future__ import annotations
 
 from .errors import ConfigurationError
-
-_HEADER = ("snr_db,genie,gamma,p_fa,p_d,p_fa_lo,p_fa_hi,p_d_lo,p_d_hi,"
-           "n_trials")
+from .montecarlo import ROC_HEADER
 
 WIDTH = 640
 HEIGHT = 480
@@ -27,15 +25,18 @@ def parse_roc_csv(path) -> dict[tuple[float, str], list[tuple[float, float]]]:
     """Group (p_fa, p_d) points by (snr_db, genie), validating per row.
 
     Raises ConfigurationError naming the offending 1-based row on any
-    malformed line; an empty body is also an error.
+    malformed line; an empty body or a non-UTF-8 file is also an error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise ConfigurationError(f"{path}: row 1: empty file")
-    if lines[0].strip() != _HEADER:
+    if lines[0].strip() != ROC_HEADER:
         raise ConfigurationError(
-            f"{path}: row 1: expected header {_HEADER!r}, got {lines[0]!r}"
+            f"{path}: row 1: expected header {ROC_HEADER!r}, got {lines[0]!r}"
         )
     groups: dict[tuple[float, str], list[tuple[float, float]]] = {}
     for rowno, line in enumerate(lines[1:], start=2):

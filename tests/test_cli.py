@@ -231,6 +231,34 @@ def test_roc_rejects_fewer_than_one_worker(tmp_path):
     assert not out.exists()
 
 
+def test_roc_rejects_a_negative_seed(tmp_path):
+    out = tmp_path / "out"
+    proc = _run("roc", "--seed", "-1", "--set", "mc.n_trials=2",
+                "--out", str(out), "--workers", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: master_seed must be >= 0, got -1\n"
+    assert not (out / "roc.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["detector.cfo_floor_hz",
+                                 "detector.gamma_prime"])
+def test_simulate_rejects_a_nan_detector_value(tmp_path, key):
+    out = tmp_path / "out"
+    proc = _run("simulate", "--set", f"{key}=nan", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {key.split('.')[1]} must not be NaN\n"
+    assert not (out / "trial.json").exists()
+
+
+def test_plot_rejects_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "roc.csv"
+    bad.write_bytes(b"snr_db,genie\xff\xfe\n")
+    proc = _run("plot", str(bad), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {bad}: not UTF-8 text")
+    assert "Traceback" not in proc.stderr
+
+
 def test_roc_csv_identical_across_worker_counts(tmp_path):
     cfg = _write_cfg(tmp_path, "mc.n_trials = 5\nmc.snr_db_list = 9\n"
                                "mc.genie = estimated\n")

@@ -15,14 +15,15 @@ from ofdmjrc import (
     estimate_h1,
     solve_linear_ls,
 )
-from ofdmjrc import active_subcarriers
+from ofdmjrc import active_subcarriers, synth_templates
+from ofdmjrc.estimator import bounded_fits
 from ofdmjrc.waveform import C_LIGHT
 
 
 def _obs_from_params(cfg, dm, r0, v, f_cfo):
     # forward model of the linearized observation stack
     theta = np.array([r0, v, f_cfo])
-    f = dm.h0_matrix() @ theta
+    f = np.column_stack([dm.a2, dm.a1]) @ theta
     return ObservationVector(f=f, n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
 
 
@@ -217,3 +218,82 @@ def test_from_peaks_round_trip(cfg):
     assert obs.f.shape == (cfg.m_symbols + cfg.k_active,)
     np.testing.assert_array_equal(obs.f[:cfg.m_symbols], 1e-6)
     np.testing.assert_array_equal(obs.f[cfg.m_symbols:], 5e3)
+
+
+def _fits(cfg, r0, v, f_cfo):
+    dm = build_design_matrices(cfg)
+    obs = _obs_from_params(cfg, dm, r0, v, f_cfo)
+    return obs, estimate_h0(obs, dm), estimate_h1(obs, dm)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bounded_fit_clamps_velocity_and_resolves_range_from_delay_rows(cfg,
+                                                                        sign):
+    # a 10 kHz offset read as velocity is about 300 m/s, past v_max
+    obs, est0, est1 = _fits(cfg, 100.0, 0.0, sign * 10e3)
+    assert abs(est1.v_hat_mps) > cfg.v_max_mps
+    _, b1 = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    assert b1.v_hat_mps == sign * cfg.v_max_mps
+    # the delay rows hold 2R/c for every symbol; under v they read
+    # R + v * mean(m * t_sym)
+    m_t = np.arange(cfg.m_symbols) * cfg.t_sym_s
+    assert b1.r0_hat_m == pytest.approx(
+        100.0 + sign * cfg.v_max_mps * m_t.mean(), rel=1e-9)
+    assert b1.r0_hat_m != pytest.approx(est1.r0_hat_m, rel=1e-9)
+    # the Doppler rows do not enter the re-solved range
+    f = obs.f.copy()
+    f[cfg.m_symbols:] += sign * 500.0
+    moved = ObservationVector(f=f, n_delay=obs.n_delay, n_doppler=obs.n_doppler)
+    _, b1_moved = bounded_fits(cfg, moved, est0, est1, None, 1.0)
+    assert b1_moved.r0_hat_m == b1.r0_hat_m
+    assert (b1.f_cfo_hat_hz, b1.residual_norm) == (None, est1.residual_norm)
+
+
+def test_bounded_fit_keeps_an_in_bound_geometry_bit_for_bit(cfg):
+    obs, est0, est1 = _fits(cfg, 250.0, -30.0, 0.0)
+    b0, b1 = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    assert b1.r0_hat_m.hex() == est1.r0_hat_m.hex()
+    assert b1.v_hat_mps.hex() == est1.v_hat_mps.hex()
+    assert b1 == est1
+    assert (b0.r0_hat_m, b0.v_hat_mps) == (b1.r0_hat_m, b1.v_hat_mps)
+    assert (b0.residual_norm, b0.hypothesis) == (est0.residual_norm, "h0")
+
+
+def test_an_offset_below_the_floor_is_exactly_zero(cfg):
+    # at v = v_max, h1 cannot absorb the 0.5 Hz into a faster velocity
+    obs, est0, est1 = _fits(cfg, 100.0, cfg.v_max_mps, 0.5)
+    b0, b1 = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    assert b0.f_cfo_hat_hz == 0.0
+    tp = synth_templates(cfg, b0, b1)
+    np.testing.assert_array_equal(tp.u0, tp.u1)
+    # a floor below the offset lets it through
+    b0, b1 = bounded_fits(cfg, obs, est0, est1, None, 0.1)
+    assert b0.f_cfo_hat_hz == pytest.approx(0.5, abs=0.05)
+    tp = synth_templates(cfg, b0, b1)
+    assert not np.array_equal(tp.u0, tp.u1)
+
+
+def test_genie_offsets_fit_the_geometry_with_that_offset_removed(cfg):
+    r0, v, f_cfo = 100.0, 10.0, 10e3
+    m_t = np.arange(cfg.m_symbols) * cfg.t_sym_s
+    k_hz = active_subcarriers(cfg) * cfg.delta_f_hz
+    two_v_c = 2.0 * v / C_LIGHT
+    # exact Doppler, with the velocity-offset cross term
+    f = np.concatenate([2.0 * r0 / C_LIGHT - two_v_c * m_t,
+                        (cfg.f_c_hz + f_cfo + k_hz) * two_v_c + f_cfo])
+    obs = ObservationVector(f=f, n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    dm = build_design_matrices(cfg)
+    est0, est1 = estimate_h0(obs, dm), estimate_h1(obs, dm)
+    _, b1 = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    assert b1.v_hat_mps == cfg.v_max_mps  # h1 reads the offset as speed
+    # a zero genie offset, of either sign, is h1's bounded geometry
+    for zero in (0.0, -0.0):
+        b0, _ = bounded_fits(cfg, obs, est0, est1, zero, 1.0)
+        assert (b0.r0_hat_m, b0.v_hat_mps, b0.f_cfo_hat_hz) == (
+            b1.r0_hat_m, b1.v_hat_mps, 0.0)
+        assert np.copysign(1.0, b0.f_cfo_hat_hz) == 1.0
+    # the true offset leaves the true geometry
+    b0, _ = bounded_fits(cfg, obs, est0, est1, f_cfo, 1.0)
+    assert b0.f_cfo_hat_hz == f_cfo
+    assert b0.r0_hat_m == pytest.approx(r0, rel=1e-5)
+    assert b0.v_hat_mps == pytest.approx(v, rel=1e-6)

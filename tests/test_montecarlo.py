@@ -415,3 +415,32 @@ def test_the_pool_gets_one_worker_per_chunk_at_most_and_tasks_carry_scenarios(
 def test_roc_sweep_rejects_fewer_than_one_worker(cfg, workers):
     with pytest.raises(ConfigurationError, match="workers"):
         _tiny_sweep(cfg, workers=workers)
+
+
+def test_roc_sweep_rejects_a_negative_master_seed(cfg):
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        _tiny_sweep(cfg, master_seed=-1)
+
+
+def test_nan_detector_values_are_rejected_before_any_trial(cfg):
+    with pytest.raises(ConfigurationError, match="cfo_floor_hz must not be NaN"):
+        _tiny_sweep(cfg, cfo_floor_hz=float("nan"))
+    with pytest.raises(ConfigurationError, match="cfo_floor_hz must not be NaN"):
+        run_batch(cfg, [_FALSE], cfo_floor_hz=float("nan"))
+    with pytest.raises(ConfigurationError, match="gamma_prime must not be NaN"):
+        run_trial(cfg, _FALSE, gamma_prime=float("nan"))
+    # infinite thresholds are the exact (1,1) and (0,0) operating points
+    for gamma_prime in (-np.inf, np.inf):
+        assert run_trial(cfg, _FALSE, gamma_prime=gamma_prime).valid
+
+
+def test_a_floor_above_every_offset_gives_only_zero_statistics(cfg):
+    tiny = np.nextafter(0.0, 1.0)
+    grid = [-tiny, tiny]
+    curve = _tiny_sweep(cfg, gamma_grid=grid, cfo_floor_hz=1e9)[0]
+    # every statistic is >= -tiny and < tiny: exactly zero
+    assert curve.p_fa.tolist() == [1.0, 0.0]
+    assert curve.p_d.tolist() == [1.0, 0.0]
+    # with the default floor the false targets keep nonzero statistics
+    curve = _tiny_sweep(cfg, gamma_grid=grid)[0]
+    assert curve.p_fa.tolist() != [1.0, 0.0]

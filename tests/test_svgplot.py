@@ -52,6 +52,14 @@ def test_parse_rejects_unknown_genie_flag(tmp_path):
         parse_roc_csv(path)
 
 
+def test_parse_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "roc.csv"
+    path.write_bytes(_HEADER.encode() + b"9.0,\xe9t\xe9\n")
+    with pytest.raises(ConfigurationError, match="not UTF-8") as exc:
+        parse_roc_csv(path)
+    assert str(path) in str(exc.value)
+
+
 def test_parse_rejects_empty_body(tmp_path):
     path = _write(tmp_path, "")
     with pytest.raises(ConfigurationError):
