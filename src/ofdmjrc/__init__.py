@@ -18,8 +18,6 @@ from .channel import (
     add_awgn,
     draw_channel_gain,
     path_loss_gain,
-    synth_false_target,
-    synth_real_target,
     synth_target,
     wavelength_m,
 )
@@ -39,7 +37,6 @@ from .errors import (
     DivisionGuardError,
     EstimationSetupError,
     IllConditionedError,
-    KindMismatchError,
     NoPeakError,
     OfdmJrcError,
     PipelineError,
@@ -52,7 +49,6 @@ from .estimator import (
     build_design_matrices,
     estimate_h0,
     estimate_h1,
-    solve_linear_ls,
 )
 from .grids import FreqGrid, SampleGrid
 from .montecarlo import (
@@ -84,7 +80,6 @@ from .waveform import (
     build_config,
     generate_frame,
     idft_modulate,
-    pilot_subcarriers,
 )
 
 __all__ = [
@@ -101,7 +96,6 @@ __all__ = [
     "FreqGrid",
     "GlrtOutcome",
     "IllConditionedError",
-    "KindMismatchError",
     "MODE_AMPLITUDE",
     "MODE_REAL_PART",
     "NoPeakError",
@@ -133,7 +127,6 @@ __all__ = [
     "glrt_statistic",
     "idft_modulate",
     "path_loss_gain",
-    "pilot_subcarriers",
     "range_doppler_map",
     "remove_known_symbols",
     "resolution_summary",
@@ -141,9 +134,6 @@ __all__ = [
     "run_batch",
     "run_trial",
     "run_trial_with_grids",
-    "solve_linear_ls",
-    "synth_false_target",
-    "synth_real_target",
     "synth_target",
     "synth_templates",
     "trial_seed",

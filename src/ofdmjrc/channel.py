@@ -1,13 +1,14 @@
 """Target channels and noise.
 
-Two target flavors share one synthesis kernel. A real target is a
-physical reflector: round-trip delay, Doppler from radial motion, no
-carrier frequency offset because the reflection never passes through an
-independent oscillator. A false target is generated by a responding
+A real target and a false target differ only by the carrier frequency
+offset. A real target is a physical reflector: round-trip delay, Doppler
+from radial motion, and no offset because the reflection never passes
+through an independent oscillator. A false target is a responding
 transmitter that replays the waveform; its oscillator is not locked to
-the victim radar, so the replay carries a carrier frequency offset on
-top of the same delay and Doppler geometry. With the offset set to zero
-the two models coincide exactly, which the tests pin down bitwise.
+the victim radar, so the replay carries an offset on top of the same
+delay and Doppler geometry. Scenario enforces the rule by rejecting a
+real target with a nonzero f_cfo_hz, so synth_target synthesizes both
+kinds with scenario.f_cfo_hz and one kernel.
 
 The offset enters only through the symbol-to-symbol phase progression.
 Its residual phase ramp inside one symbol is orders of magnitude below
@@ -21,17 +22,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    CalibrationError,
-    ConfigurationError,
-    KindMismatchError,
-    SingularityError,
-)
+from .errors import CalibrationError, ConfigurationError, SingularityError
 from .grids import SampleGrid, write_cells_csv
 from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, grid_constants
 
@@ -82,9 +78,6 @@ class Scenario:
             )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-
-    def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=int(seed))
 
 
 def wavelength_m(f_c_hz: float) -> float:
@@ -148,48 +141,22 @@ def draw_channel_gain(big_g: float, scenario: Scenario, cfg: OfdmConfig,
                        h_eff=g * np.sqrt(big_g) * phase)
 
 
-def _synth(cfg: OfdmConfig, scenario: Scenario, frame: FrameSymbols,
-           gain: ChannelGain, f_cfo_hz: float) -> SampleGrid:
-    tau0 = 2.0 * scenario.r0_m / C_LIGHT
-    y = _kernels.synth_grid(
-        frame.x, cfg.cached(grid_constants).k_idx,
-        cfg.n_fft, cfg.m_symbols, cfg.delta_f_hz, cfg.t_sym_s,
-        gain.h_eff, tau0, scenario.v_mps, f_cfo_hz, cfg.f_c_hz, C_LIGHT,
-    )
-    return SampleGrid(y=y)
-
-
-def synth_false_target(cfg: OfdmConfig, scenario: Scenario,
-                       frame: FrameSymbols, gain: ChannelGain) -> SampleGrid:
-    """Noiseless received grid from a replayed waveform with frequency offset.
+def synth_target(cfg: OfdmConfig, scenario: Scenario,
+                 frame: FrameSymbols, gain: ChannelGain) -> SampleGrid:
+    """Noiseless received grid for either kind of target.
 
     Each subcarrier keeps its own Doppler: the fast-time phase slope of
     subcarrier k advances by (2v/c)*m*t_sym per symbol in addition to the
-    common slow-time rotation at (f_c+f_cfo)*(2v/c) + f_cfo.
+    common slow-time rotation at (f_c+f_cfo)*(2v/c) + f_cfo, where f_cfo
+    is 0 for a real target.
     """
-    if scenario.kind is not TargetKind.FALSE_TARGET:
-        raise KindMismatchError(
-            f"synth_false_target needs a false-target scenario, got {scenario.kind}"
-        )
-    return _synth(cfg, scenario, frame, gain, scenario.f_cfo_hz)
-
-
-def synth_real_target(cfg: OfdmConfig, scenario: Scenario,
-                      frame: FrameSymbols, gain: ChannelGain) -> SampleGrid:
-    """Noiseless received grid from a physical reflection (offset forced to 0)."""
-    if scenario.kind is not TargetKind.REAL_TARGET:
-        raise KindMismatchError(
-            f"synth_real_target needs a real-target scenario, got {scenario.kind}"
-        )
-    return _synth(cfg, scenario, frame, gain, 0.0)
-
-
-def synth_target(cfg: OfdmConfig, scenario: Scenario,
-                 frame: FrameSymbols, gain: ChannelGain) -> SampleGrid:
-    """Dispatch on scenario.kind."""
-    if scenario.kind is TargetKind.FALSE_TARGET:
-        return synth_false_target(cfg, scenario, frame, gain)
-    return synth_real_target(cfg, scenario, frame, gain)
+    y = _kernels.synth_grid(
+        frame.x, cfg.cached(grid_constants).k_idx,
+        cfg.n_fft, cfg.m_symbols, cfg.delta_f_hz, cfg.t_sym_s,
+        gain.h_eff, 2.0 * scenario.r0_m / C_LIGHT, scenario.v_mps,
+        scenario.f_cfo_hz, cfg.f_c_hz, C_LIGHT,
+    )
+    return SampleGrid(y=y)
 
 
 def add_awgn(grid: SampleGrid, snr_db: float, seed) -> SampleGrid:
@@ -238,6 +205,10 @@ def read_grid_bin(path) -> SampleGrid:
         raw = fh.read()
     if len(raw) < 8:
         raise ConfigurationError(f"grid file too short: {path}")
+    if (len(raw) - 8) % 8:
+        raise ConfigurationError(
+            f"grid file payload is {len(raw) - 8} bytes, not whole "
+            f"complex64 samples: {path}")
     m, n = np.frombuffer(raw[:8], dtype="<u4")
     body = np.frombuffer(raw[8:], dtype="<c8")
     if body.size != int(m) * int(n):

@@ -37,11 +37,6 @@ from .svgplot import parse_roc_csv, render_roc_svg
 from .waveform import active_subcarriers, write_frame_csv
 
 
-def _check_config_path(config_path):
-    if config_path is not None and not os.path.isfile(config_path):
-        raise ConfigurationError(f"config not found: {config_path}")
-
-
 def _trial_dict(rec):
     scenario = asdict(rec.scenario) | {"kind": rec.scenario.kind.value}
     del scenario["seed"]  # reported once, beside it
@@ -71,7 +66,6 @@ def _write_freq_csv(path, y_tilde) -> None:
 
 def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
     """Run one trial and write its record (plus optional grid dumps)."""
-    _check_config_path(config_path)
     cfg_map = resolve_config(config_path, overrides)
     cfg = ofdm_config_from(cfg_map)
     scenario = scenario_from(cfg_map, seed=seed)
@@ -113,7 +107,6 @@ def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
 
 def cmd_rdmap(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
     """Write the zero-padded range-Doppler map for one scenario draw."""
-    _check_config_path(config_path)
     cfg_map = resolve_config(config_path, overrides)
     cfg = ofdm_config_from(cfg_map)
     scenario = scenario_from(cfg_map, seed=seed)
@@ -135,7 +128,6 @@ def cmd_rdmap(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
 def cmd_roc(config_path, out_csv, overrides=(), seed: int = 0,
             workers: int = 1) -> None:
     """Run the configured ROC sweep and write the CSV plus a manifest."""
-    _check_config_path(config_path)
     cfg_map = resolve_config(config_path, overrides)
     cfg = ofdm_config_from(cfg_map)
     base = scenario_from(cfg_map, seed=0)

@@ -72,19 +72,25 @@ def _coerce(key: str, raw: str):
 
 
 def load_config_file(path) -> dict[str, object]:
-    """Parse a key-value config file; unknown keys and bad values raise."""
+    """Parse a key-value config file; unreadable files, bad keys and values raise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError:
+        raise ConfigurationError(f"config not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
     out: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key = value, got {stripped!r}"
-                )
-            key, raw = stripped.split("=", 1)
-            out[key.strip()] = _coerce(key.strip(), raw)
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected key = value, got {stripped!r}"
+            )
+        key, raw = stripped.split("=", 1)
+        out[key.strip()] = _coerce(key.strip(), raw)
     return out
 
 

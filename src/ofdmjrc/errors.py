@@ -24,10 +24,6 @@ class SingularityError(PipelineError):
     """A physical quantity hit a pole, e.g. zero range in the path-loss law."""
 
 
-class KindMismatchError(PipelineError):
-    """A synthesis routine was called with the wrong scenario kind."""
-
-
 class CalibrationError(PipelineError):
     """Noise calibration is impossible (zero-energy grid at finite SNR)."""
 

@@ -152,24 +152,6 @@ def build_design_matrices(cfg: OfdmConfig) -> DesignMatrices:
     return cfg.cached(_design_matrices)
 
 
-def solve_linear_ls(a: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
-    """Column-scaled least squares; returns (theta, residual 2-norm).
-
-    See ScaledLs; this factors a for one solve.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64).ravel()
-    if a.ndim != 2 or a.shape[0] != f.size:
-        raise EstimationSetupError(
-            f"design {a.shape} incompatible with {f.size} observations"
-        )
-    if a.shape[0] < a.shape[1]:
-        raise EstimationSetupError(
-            f"underdetermined system: {a.shape[0]} rows for {a.shape[1]} params"
-        )
-    return ScaledLs(a).solve(f)
-
-
 @dataclass(frozen=True)
 class Estimates:
     """One least-squares fit: parameters plus its residual 2-norm.

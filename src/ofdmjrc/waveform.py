@@ -45,11 +45,6 @@ class OfdmConfig:
     v_max_mps: float = 100.0
 
     @property
-    def f_s_hz(self) -> float:
-        """Complex baseband sample rate; the FFT spans exactly one symbol."""
-        return self.n_fft * self.delta_f_hz
-
-    @property
     def t_sym_s(self) -> float:
         """Symbol duration 1/delta_f (no cyclic prefix in this model)."""
         return 1.0 / self.delta_f_hz
@@ -135,11 +130,6 @@ def pilot_positions(cfg: OfdmConfig) -> np.ndarray:
         return np.array([], dtype=np.int64)
     pos = np.round(np.linspace(0, cfg.k_active - 1, cfg.n_pilot)).astype(np.int64)
     return np.unique(pos)
-
-
-def pilot_subcarriers(cfg: OfdmConfig) -> np.ndarray:
-    """Signed subcarrier indices that carry pilots."""
-    return active_subcarriers(cfg)[pilot_positions(cfg)]
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,7 @@ from ofdmjrc import (
     glrt_statistic,
     remove_known_symbols,
     roc_sweep,
-    synth_false_target,
-    synth_real_target,
+    synth_target,
     synth_templates,
 )
 from ofdmjrc.waveform import C_LIGHT
@@ -56,10 +55,7 @@ def _report(n: int, ok: bool, detail: str) -> str:
 def _noiseless_freq_grid(cfg, scenario, frame_seed=0):
     frame = generate_frame(cfg, seed=frame_seed)
     gain = ChannelGain(g=1.0, big_g=1.0, h_eff=1.0)
-    if scenario.kind is TargetKind.REAL_TARGET:
-        grid = synth_real_target(cfg, scenario, frame, gain)
-    else:
-        grid = synth_false_target(cfg, scenario, frame, gain)
+    grid = synth_target(cfg, scenario, frame, gain)
     return remove_known_symbols(fast_time_dft(grid, cfg), frame)
 
 
@@ -115,8 +111,8 @@ def test_criterion_3_models_coincide_without_offset(cfg):
         fake = Scenario(kind=TargetKind.FALSE_TARGET, r0_m=r0, v_mps=v,
                         f_cfo_hz=0.0, sigma_rcs_m2=sigma, snr_db=9.0, seed=i)
         real = replace(fake, kind=TargetKind.REAL_TARGET)
-        diff = np.abs(synth_false_target(cfg, fake, frame, gain).y
-                      - synth_real_target(cfg, real, frame, gain).y)
+        diff = np.abs(synth_target(cfg, fake, frame, gain).y
+                      - synth_target(cfg, real, frame, gain).y)
         worst = max(worst, float(diff.max()))
     ok = worst == 0.0
     line = _report(3, ok,

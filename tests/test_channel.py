@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from ofdmjrc import (
     CalibrationError,
     ChannelGain,
     ConfigurationError,
-    KindMismatchError,
     Scenario,
     SingularityError,
     TargetKind,
@@ -16,8 +17,6 @@ from ofdmjrc import (
     generate_frame,
     idft_modulate,
     path_loss_gain,
-    synth_false_target,
-    synth_real_target,
     synth_target,
     wavelength_m,
 )
@@ -80,7 +79,7 @@ def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         _false_scenario(seed=-1)
     assert _real_scenario().f_cfo_hz == 0.0
-    assert _false_scenario().with_seed(5).seed == 5
+    assert replace(_false_scenario(), seed=5).seed == 5
 
 
 @pytest.mark.parametrize("field", ["r0_m", "v_mps", "f_cfo_hz",
@@ -128,31 +127,14 @@ def test_zero_path_loss_kills_the_echo(cfg):
     assert gain.h_eff == 0.0
 
 
-def test_synth_rejects_kind_mismatch(cfg):
-    frame = generate_frame(cfg, seed=0)
-    gain = ChannelGain(g=1.0, big_g=1.0, h_eff=1.0)
-    with pytest.raises(KindMismatchError):
-        synth_false_target(cfg, _real_scenario(), frame, gain)
-    with pytest.raises(KindMismatchError):
-        synth_real_target(cfg, _false_scenario(), frame, gain)
-
-
 def test_false_target_without_offset_equals_real_target(cfg):
     frame = generate_frame(cfg, seed=6)
     gain = ChannelGain(g=0.7 - 0.2j, big_g=1.0, h_eff=0.7 - 0.2j)
     fake = _false_scenario(f_cfo_hz=0.0, v_mps=25.0)
     real = _real_scenario(v_mps=25.0)
-    y_fake = synth_false_target(cfg, fake, frame, gain)
-    y_real = synth_real_target(cfg, real, frame, gain)
+    y_fake = synth_target(cfg, fake, frame, gain)
+    y_real = synth_target(cfg, real, frame, gain)
     assert np.array_equal(y_fake.y, y_real.y)
-
-
-def test_synth_target_dispatches_on_kind(cfg):
-    frame = generate_frame(cfg, seed=6)
-    gain = ChannelGain(g=1.0, big_g=1.0, h_eff=1.0)
-    via_dispatch = synth_target(cfg, _real_scenario(), frame, gain)
-    direct = synth_real_target(cfg, _real_scenario(), frame, gain)
-    assert np.array_equal(via_dispatch.y, direct.y)
 
 
 def test_static_nearby_target_reduces_to_plain_modulation(cfg):
@@ -160,15 +142,13 @@ def test_static_nearby_target_reduces_to_plain_modulation(cfg):
     frame = generate_frame(cfg, seed=8)
     gain = ChannelGain(g=1.0, big_g=1.0, h_eff=1.0)
     sc = _real_scenario(r0_m=1e-9, v_mps=0.0)
-    grid = synth_real_target(cfg, sc, frame, gain)
+    grid = synth_target(cfg, sc, frame, gain)
     clean = idft_modulate(frame, cfg)
     np.testing.assert_allclose(grid.y, clean.y, atol=1e-9)
 
 
 def _repeated_symbol_frame(cfg, seed):
     # same payload on every symbol, so slow-time structure is channel-only
-    from dataclasses import replace
-
     frame = generate_frame(cfg, seed=seed)
     x = np.tile(frame.x[:, :1], (1, cfg.m_symbols))
     return replace(frame, x=x)
@@ -179,7 +159,7 @@ def test_static_target_symbols_repeat(cfg):
     # promised because the synthesis matmul may accumulate per column
     frame = _repeated_symbol_frame(cfg, seed=8)
     gain = ChannelGain(g=1.0, big_g=1.0, h_eff=1.0)
-    grid = synth_real_target(cfg, _real_scenario(v_mps=0.0), frame, gain)
+    grid = synth_target(cfg, _real_scenario(v_mps=0.0), frame, gain)
     for m in range(1, cfg.m_symbols):
         np.testing.assert_allclose(grid.y[m], grid.y[0], rtol=0.0, atol=1e-14)
 
@@ -188,7 +168,7 @@ def test_offset_only_scenario_steps_phase_per_symbol(cfg):
     frame = _repeated_symbol_frame(cfg, seed=8)
     gain = ChannelGain(g=1.0, big_g=1.0, h_eff=1.0)
     sc = _false_scenario(v_mps=0.0, f_cfo_hz=10e3)
-    grid = synth_false_target(cfg, sc, frame, gain)
+    grid = synth_target(cfg, sc, frame, gain)
     step = np.exp(2j * np.pi * sc.f_cfo_hz * cfg.t_sym_s)
     for m in range(1, cfg.m_symbols):
         np.testing.assert_allclose(grid.y[m], grid.y[m - 1] * step, rtol=1e-9)
@@ -199,8 +179,8 @@ def test_echo_is_linear_in_channel_gain(cfg):
     g1 = ChannelGain(g=1.0, big_g=1.0, h_eff=1.0)
     g2 = ChannelGain(g=1.0, big_g=1.0, h_eff=-0.3 + 1.1j)
     sc = _false_scenario()
-    y1 = synth_false_target(cfg, sc, frame, g1).y
-    y2 = synth_false_target(cfg, sc, frame, g2).y
+    y1 = synth_target(cfg, sc, frame, g1).y
+    y2 = synth_target(cfg, sc, frame, g2).y
     np.testing.assert_allclose(y2, y1 * (-0.3 + 1.1j), rtol=1e-12)
 
 
@@ -208,7 +188,7 @@ def test_noiseless_echo_energy_matches_gain(cfg):
     frame = generate_frame(cfg, seed=3)
     h = 0.4 + 0.9j
     gain = ChannelGain(g=1.0, big_g=1.0, h_eff=h)
-    grid = synth_false_target(cfg, _false_scenario(), frame, gain)
+    grid = synth_target(cfg, _false_scenario(), frame, gain)
     energy = np.sum(np.abs(grid.y) ** 2)
     assert energy == pytest.approx(abs(h) ** 2 * cfg.k_active * cfg.m_symbols, rel=1e-9)
 
@@ -270,3 +250,12 @@ def test_grid_csv_header(tmp_path, cfg):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "m,n,re,im"
     assert len(lines) == 1 + cfg.m_symbols * cfg.n_fft
+
+
+def test_grid_binary_rejects_a_payload_cut_inside_a_sample(tmp_path, cfg):
+    grid = idft_modulate(generate_frame(cfg, seed=4), cfg)
+    path = tmp_path / "grid.bin"
+    write_grid_bin(path, grid)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ConfigurationError, match="grid.bin"):
+        read_grid_bin(path)

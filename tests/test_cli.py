@@ -259,6 +259,15 @@ def test_plot_rejects_a_file_that_is_not_utf8(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_rejects_a_config_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "run.cfg"
+    bad.write_bytes(b"\xff\xfescenario.snr_db = 5\n")
+    proc = _run("simulate", "--config", str(bad), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {bad}: not UTF-8 text")
+    assert "Traceback" not in proc.stderr
+
+
 def test_roc_csv_identical_across_worker_counts(tmp_path):
     cfg = _write_cfg(tmp_path, "mc.n_trials = 5\nmc.snr_db_list = 9\n"
                                "mc.genie = estimated\n")

@@ -53,6 +53,12 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
     assert ":2:" in str(exc.value)  # file:line prefix points at the bad line
 
 
+def test_missing_config_file_is_a_configuration_error(tmp_path):
+    path = tmp_path / "missing.cfg"
+    with pytest.raises(ConfigurationError, match="config not found"):
+        resolve_config(path)
+
+
 def test_unknown_keys_are_named():
     with pytest.raises(ConfigurationError) as exc:
         apply_overrides(dict(DEFAULTS), ["scenario.phaser_power=11"])

@@ -21,7 +21,7 @@ from ofdmjrc import (
     generate_frame,
     glrt_statistic,
     remove_known_symbols,
-    synth_false_target,
+    synth_target,
     synth_templates,
 )
 from ofdmjrc.detector import _templates as phase_templates
@@ -123,7 +123,7 @@ def test_matched_template_captures_all_energy(cfg):
                   f_cfo_hz=10e3, sigma_rcs_m2=1.0, snr_db=9.0, seed=0)
     frame = generate_frame(cfg, seed=4)
     gain = ChannelGain(g=0.8 - 0.4j, big_g=1.0, h_eff=0.8 - 0.4j)
-    grid = synth_false_target(cfg, sc, frame, gain)
+    grid = synth_target(cfg, sc, frame, gain)
     fg = remove_known_symbols(fast_time_dft(grid, cfg), frame)
     z = fg.vectorized()
     tp = _templates(cfg, r0=sc.r0_m, v=sc.v_mps, f_cfo=sc.f_cfo_hz)

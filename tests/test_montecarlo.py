@@ -47,7 +47,7 @@ def test_run_trial_is_deterministic(cfg):
     assert a.est0.r0_hat_m == b.est0.r0_hat_m
     assert a.est1.v_hat_mps == b.est1.v_hat_mps
     assert a.outcome.decision == b.outcome.decision
-    c = run_trial(cfg, _FALSE.with_seed(4))
+    c = run_trial(cfg, replace(_FALSE, seed=4))
     assert c.t_stat != a.t_stat
 
 

@@ -19,8 +19,7 @@ from ofdmjrc import (
     idft_modulate,
     range_doppler_map,
     remove_known_symbols,
-    synth_false_target,
-    synth_real_target,
+    synth_target,
 )
 from ofdmjrc.rdmap import (
     delay_axis_s,
@@ -45,10 +44,7 @@ def _false(r0=100.0, v=0.0, f_cfo=10e3):
 
 def _clean_freq_grid(cfg, scenario, seed=0, gain=_UNIT_GAIN):
     frame = generate_frame(cfg, seed=seed)
-    if scenario.kind is TargetKind.REAL_TARGET:
-        grid = synth_real_target(cfg, scenario, frame, gain)
-    else:
-        grid = synth_false_target(cfg, scenario, frame, gain)
+    grid = synth_target(cfg, scenario, frame, gain)
     return remove_known_symbols(fast_time_dft(grid, cfg), frame)
 
 
