@@ -201,8 +201,11 @@ def write_grid_bin(path, grid: SampleGrid) -> None:
 
 def read_grid_bin(path) -> SampleGrid:
     """Read a grid written by write_grid_bin (complex64, widened to 128)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError:
+        raise ConfigurationError(f"grid file not found: {path}") from None
     if len(raw) < 8:
         raise ConfigurationError(f"grid file too short: {path}")
     if (len(raw) - 8) % 8:

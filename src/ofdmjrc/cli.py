@@ -158,8 +158,6 @@ def cmd_roc(config_path, out_csv, overrides=(), seed: int = 0,
 
 def cmd_plot(csv_path, out_svg) -> None:
     """Render a ROC CSV to an SVG plot."""
-    if not os.path.isfile(csv_path):
-        raise ConfigurationError(f"csv not found: {csv_path}")
     groups = parse_roc_csv(csv_path)
     out_dir = os.path.dirname(os.path.abspath(out_svg))
     os.makedirs(out_dir, exist_ok=True)

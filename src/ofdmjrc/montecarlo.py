@@ -18,8 +18,8 @@ fails is recorded invalid with the message it gets alone, and the
 others in its batch are unaffected: an error in a trial's own steps
 stays with that trial, and if a whole-batch stage raises, every trial
 of the batch reruns as a batch of one. roc_sweep cuts its trial list
-into batches of batch_size(cfg) by position, so the batches do not
-depend on the worker count either.
+by position into near-equal batches (see _run_many), so the batches do
+not depend on the worker count either.
 
 Estimation modes: a batch can be scored under several genie flags. The
 front halves, FFTs, symbol removal, peaks and fits then run once; the
@@ -74,9 +74,9 @@ from .rdmap import (
 from .waveform import FrameSymbols, OfdmConfig, generate_frame
 
 DEFAULT_CFO_FLOOR_HZ = 1.0
-# Complex values of zero-padded delay spectrum allowed per sweep batch
-# (see batch_size); it caps what a batch adds to peak memory at a few MB.
-_BATCH_VALUES = 1 << 16
+# Trial-grid values allowed per sweep batch (see batch_size); the padded
+# peak spectra are searched in cache-sized slices whatever the batch.
+_BATCH_VALUES = 1 << 14
 WILSON_Z = 1.959963984540054  # two-sided 95%
 ROC_HEADER = "snr_db,genie,gamma,p_fa,p_d,p_fa_lo,p_fa_hi,p_d_lo,p_d_hi,n_trials"
 
@@ -152,10 +152,9 @@ def trial_seed(master_seed: int, snr_idx: int, kind_idx: int,
 
 
 def batch_size(cfg: OfdmConfig) -> int:
-    """Trials per run_batch call in a sweep: the most whose zero-padded
-    delay spectra, B * m_symbols * n_fft * zero_pad complex values, fit
-    in _BATCH_VALUES."""
-    return max(1, _BATCH_VALUES // (cfg.m_symbols * cfg.n_fft * cfg.zero_pad))
+    """Most trials per run_batch call in a sweep: the most whose grids,
+    B * k_active * m_symbols values, fit in _BATCH_VALUES."""
+    return max(1, _BATCH_VALUES // (cfg.k_active * cfg.m_symbols))
 
 
 def _front_half(cfg: OfdmConfig, scenario: Scenario):
@@ -327,12 +326,14 @@ def _worker_batch(scenarios) -> list[list[TrialRecord]]:
 
 def _run_many(cfg: OfdmConfig, scenarios, flags, mode: str,
               cfo_floor_hz: float, workers: int) -> list[list[TrialRecord]]:
-    """Records of every scenario under each flag, run in chunks of
-    batch_size(cfg) cut by position, so the batches never depend on the
-    worker count. One pool of at most one worker per chunk serves every
-    flag; each worker gets cfg once and keeps its per-config caches."""
-    size = batch_size(cfg)
-    chunks = [scenarios[i:i + size] for i in range(0, len(scenarios), size)]
+    """Records of every scenario under each flag, run in the fewest chunks
+    of at most batch_size(cfg), cut by position into sizes within one of
+    each other, so the batches never depend on the worker count. One pool
+    of at most one worker per chunk serves every flag; each worker gets
+    cfg once and keeps its per-config caches."""
+    n = -(-len(scenarios) // batch_size(cfg))
+    cuts = [len(scenarios) * i // n for i in range(n + 1)]
+    chunks = [scenarios[a:b] for a, b in zip(cuts, cuts[1:])]
     run = (flags, mode, cfo_floor_hz, 0.0)
     workers = min(workers, len(chunks))
     if workers <= 1:

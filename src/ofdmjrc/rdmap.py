@@ -29,6 +29,7 @@ from .grids import FreqGrid, SampleGrid, write_cells_csv
 from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, grid_constants
 
 _DIVISION_FLOOR = 1.0e-6
+_SLICE_VALUES = 1 << 16  # padded complex values per coarse-search slice
 
 
 def fast_time_dft(grid: SampleGrid, cfg: OfdmConfig) -> np.ndarray:
@@ -63,19 +64,29 @@ def remove_known_symbols(y_f: np.ndarray, frame: FrameSymbols) -> FreqGrid:
     return FreqGrid(y_tilde=y_f / frame.x)
 
 
-def _delay_spectrum(cfg: OfdmConfig, y_tilde: np.ndarray) -> np.ndarray:
-    """Zero-padded delay profiles, shape [..., Ld, m]; bin d maps to d/(Ld*delta_f)."""
+def _delay_spectrum(cfg: OfdmConfig, cols: np.ndarray) -> np.ndarray:
+    """Zero-padded delay profiles of the subcarrier columns [..., k_active]
+    along the last axis, shape [..., Ld]; bin d maps to d/(Ld*delta_f)."""
     ld = cfg.n_fft * cfg.zero_pad
-    buf = np.zeros((*y_tilde.shape[:-2], ld, y_tilde.shape[-1]),
-                   dtype=np.complex128)
-    buf[..., cfg.cached(grid_constants).k_idx % ld, :] = y_tilde
-    return np.fft.ifft(buf, axis=-2, norm="forward")
+    buf = np.zeros((*cols.shape[:-1], ld), dtype=np.complex128)
+    buf[..., cfg.cached(grid_constants).k_idx % ld] = cols
+    return np.fft.ifft(buf, axis=-1, norm="forward")
 
 
 def _doppler_spectrum(cfg: OfdmConfig, rows: np.ndarray) -> np.ndarray:
     """Zero-padded slow-time spectra along the last axis, unshifted: bin o
     maps to grid_constants(cfg).doppler_hz[o]."""
     return np.fft.fft(rows, n=cfg.m_symbols * cfg.zero_pad, axis=-1)
+
+
+def _coarse_peaks(spectrum, cfg: OfdmConfig, rows: np.ndarray,
+                  width: int) -> np.ndarray:
+    """Argmax bin of |spectrum(cfg, rows)| per row of rows [R, L], taken
+    over slices of at most _SLICE_VALUES padded values (width per row),
+    so the spectrum stays in cache whatever R is."""
+    step = max(1, _SLICE_VALUES // width)
+    return np.concatenate([np.abs(spectrum(cfg, rows[i:i + step])).argmax(-1)
+                           for i in range(0, len(rows), step)])
 
 
 def delay_axis_s(cfg: OfdmConfig) -> np.ndarray:
@@ -109,7 +120,8 @@ def range_doppler_map(fg: FreqGrid, cfg: OfdmConfig) -> RangeDopplerMap:
     Delay axis spans [0, 1/delta_f); Doppler axis spans one unambiguous
     interval [-1/(2*t_sym), +1/(2*t_sym)).
     """
-    delayed = _delay_spectrum(cfg, fg.y_tilde)
+    # contiguous rows: the padded Doppler FFT is slower on a strided view
+    delayed = np.ascontiguousarray(_delay_spectrum(cfg, fg.y_tilde.T).T)
     surface = np.fft.fftshift(_doppler_spectrum(cfg, delayed), axes=-1)
     return RangeDopplerMap(magnitudes=np.abs(surface),
                            delay_axis_s=delay_axis_s(cfg),
@@ -142,26 +154,24 @@ def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations
     if not np.all(np.any(np.abs(y_tilde) > 0.0, axis=(-2, -1))):
         raise NoPeakError("grid is identically zero; no peak to extract")
     consts = cfg.cached(grid_constants)
-    k, m = y_tilde.shape[-2:]
+    *lead, k, m = y_tilde.shape
 
     ld = cfg.n_fft * cfg.zero_pad
-    d0 = np.argmax(np.abs(_delay_spectrum(cfg, y_tilde)), axis=-2)
-    x0 = d0.ravel() / (ld * cfg.delta_f_hz)
+    cols = np.swapaxes(y_tilde, -1, -2).reshape(-1, k)
+    x0 = _coarse_peaks(_delay_spectrum, cfg, cols, ld) / (ld * cfg.delta_f_hz)
     half = np.full(x0.shape, 1.0 / (ld * cfg.delta_f_hz))
-    delays = _kernels.refine_tones(np.swapaxes(y_tilde, -1, -2).reshape(-1, k),
-                                   consts.k_idx, cfg.delta_f_hz, 1.0, x0,
+    delays = _kernels.refine_tones(cols, consts.k_idx, cfg.delta_f_hz, 1.0, x0,
                                    half, cfg.peak_refine_tol)
-    delays = np.mod(delays, cfg.t_sym_s).reshape(d0.shape)
+    delays = np.mod(delays, cfg.t_sym_s).reshape(*lead, m)
 
     lm = cfg.m_symbols * cfg.zero_pad
-    o0 = np.argmax(np.abs(_doppler_spectrum(cfg, y_tilde)), axis=-1)
-    f0 = consts.doppler_hz[o0.ravel()]
+    rows = y_tilde.reshape(-1, m)
+    f0 = consts.doppler_hz[_coarse_peaks(_doppler_spectrum, cfg, rows, lm)]
     half_f = np.full(f0.shape, 1.0 / (lm * cfg.t_sym_s))
-    dopps = _kernels.refine_tones(y_tilde.reshape(-1, m), np.arange(m),
-                                  cfg.t_sym_s, -1.0, f0, half_f,
-                                  cfg.peak_refine_tol)
+    dopps = _kernels.refine_tones(rows, np.arange(m), cfg.t_sym_s, -1.0, f0,
+                                  half_f, cfg.peak_refine_tol)
     span = 1.0 / cfg.t_sym_s
-    dopps = (np.mod(dopps + span / 2.0, span) - span / 2.0).reshape(o0.shape)
+    dopps = (np.mod(dopps + span / 2.0, span) - span / 2.0).reshape(*lead, k)
 
     return PeakObservations(delay_obs_s=delays, dopp_obs_hz=dopps)
 

@@ -25,11 +25,13 @@ def parse_roc_csv(path) -> dict[tuple[float, str], list[tuple[float, float]]]:
     """Group (p_fa, p_d) points by (snr_db, genie), validating per row.
 
     Raises ConfigurationError naming the offending 1-based row on any
-    malformed line; an empty body or a non-UTF-8 file is also an error.
+    malformed line; a missing, empty or non-UTF-8 file is also an error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+    except OSError:
+        raise ConfigurationError(f"csv not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:

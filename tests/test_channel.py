@@ -259,3 +259,8 @@ def test_grid_binary_rejects_a_payload_cut_inside_a_sample(tmp_path, cfg):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ConfigurationError, match="grid.bin"):
         read_grid_bin(path)
+
+
+def test_grid_binary_names_a_missing_file(tmp_path):
+    with pytest.raises(ConfigurationError, match="not found: .*nope.bin"):
+        read_grid_bin(tmp_path / "nope.bin")

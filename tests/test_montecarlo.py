@@ -308,7 +308,7 @@ def test_a_failed_trial_stays_alone_under_both_flags(numerology, workers):
     cfg = build_config(**({} if numerology == "default" else _LARGE))
     good = _mixed_scenarios(10, master_seed=17)
     lost = replace(_FALSE, r0_m=1e80)
-    # the lost trials sit inside a batch at either batch size (6 and 2)
+    # the lost trials sit inside a batch at either batch size (31 and 2)
     scenarios = [*good[:3], lost, *good[3:7], replace(lost, snr_db=np.inf),
                  *good[7:]]
     flags = (False, True)
@@ -409,6 +409,40 @@ def test_the_pool_gets_one_worker_per_chunk_at_most_and_tasks_carry_scenarios(
     mc._run_many(cfg, scenarios[:3], flags, MODE_AMPLITUDE,
                  mc.DEFAULT_CFO_FLOOR_HZ, 6)
     assert _SpyPool.sizes == [2]
+
+
+def test_records_do_not_depend_on_the_sweep_batch_size(cfg, monkeypatch):
+    good = _mixed_scenarios(39, master_seed=41)
+    scenarios = [*good[:17], replace(_FALSE, r0_m=1e80), *good[17:]]
+    runs = []
+    for size in (mc.batch_size(cfg), 1, 7):  # chunks: 2 x 20, 40 x 1, 6 x 6-7
+        monkeypatch.setattr(mc, "batch_size", lambda _cfg, size=size: size)
+        runs.append([[_bits(r) for r in recs] for recs in mc._run_many(
+            cfg, scenarios, (False, True), MODE_AMPLITUDE,
+            mc.DEFAULT_CFO_FLOOR_HZ, 1)])
+    assert [[b[0] for b in recs] for recs in runs[0]] == \
+        [[sc.r0_m != 1e80 for sc in scenarios]] * 2
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_sweep_chunks_differ_by_at_most_one_and_ignore_the_worker_count(
+        cfg, monkeypatch):
+    monkeypatch.setattr(_SpyPool, "sizes", [])
+    monkeypatch.setattr(_SpyPool, "items", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
+    monkeypatch.setattr(mc, "batch_size", lambda _cfg: 7)
+    serial, run_batch = [], mc._run_batch
+
+    def spy(cfg, scenarios, *rest):
+        serial.append(len(scenarios))
+        return run_batch(cfg, scenarios, *rest)
+
+    monkeypatch.setattr(mc, "_run_batch", spy)
+    scenarios = _mixed_scenarios(16, master_seed=43)
+    for workers in (1, 2):
+        mc._run_many(cfg, scenarios, (False,), MODE_AMPLITUDE,
+                     mc.DEFAULT_CFO_FLOOR_HZ, workers)
+    assert serial == [len(c) for c in _SpyPool.items] == [5, 5, 6]
 
 
 @pytest.mark.parametrize("workers", [0, -2])

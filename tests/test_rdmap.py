@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,15 +23,18 @@ from ofdmjrc import (
     remove_known_symbols,
     synth_target,
 )
+from ofdmjrc.montecarlo import trial_grids
 from ofdmjrc.rdmap import (
+    _SLICE_VALUES,
     delay_axis_s,
     doppler_axis_hz,
     resolution_summary,
     write_rdmap_csv,
 )
-from ofdmjrc.waveform import C_LIGHT
+from ofdmjrc.waveform import C_LIGHT, grid_constants
 
 _UNIT_GAIN = ChannelGain(g=1.0, big_g=1.0, h_eff=1.0)
+_LARGE = dict(n_fft=256, k_active=200, n_pilot=24, m_symbols=32, zero_pad=4)
 
 
 def _real(r0=100.0, v=0.0):
@@ -135,6 +140,48 @@ def test_map_is_invariant_to_global_phase(cfg):
     a = range_doppler_map(fg, cfg).magnitudes
     b = range_doppler_map(rotated, cfg).magnitudes
     np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12 * float(a.max()))
+
+
+def _noisy_freq_grids(cfg, n):
+    """Symbol-removed grids of n trials, both truths at -5 and 9 dB."""
+    return [trial_grids(cfg, replace((_false, _real)[i % 2](v=10.0),
+                                     snr_db=(-5.0, 9.0)[(i // 2) % 2],
+                                     seed=100 + i))[2]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("numerology", [{}, _LARGE], ids=["default", "large"])
+def test_map_matches_the_delay_transform_along_the_subcarrier_axis(numerology):
+    cfg = build_config(**numerology)
+    fg = _noisy_freq_grids(cfg, 1)[0]
+    ld, lm = cfg.n_fft * cfg.zero_pad, cfg.m_symbols * cfg.zero_pad
+    buf = np.zeros((ld, cfg.m_symbols), dtype=np.complex128)
+    buf[cfg.cached(grid_constants).k_idx % ld, :] = fg.y_tilde
+    delayed = np.fft.ifft(buf, axis=-2, norm="forward")
+    ref = np.abs(np.fft.fftshift(np.fft.fft(delayed, n=lm, axis=-1), axes=-1))
+    assert range_doppler_map(fg, cfg).magnitudes.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("numerology", [{}, _LARGE], ids=["default", "large"])
+def test_stacked_peaks_over_several_coarse_slices_match_each_grid_alone(
+        numerology):
+    cfg = build_config(**numerology)
+    k, m = cfg.k_active, cfg.m_symbols
+    # (rows per trial, rows per slice) of the delay and Doppler searches
+    searches = [(m, _SLICE_VALUES // (cfg.n_fft * cfg.zero_pad)),
+                (k, _SLICE_VALUES // (m * cfg.zero_pad))]
+    n = 2 * max(-(-step // rows) for rows, step in searches) + 1
+    for rows, step in searches:  # several slices, the last one partial
+        assert n * rows > 2 * step and (n * rows) % step
+    grids = _noisy_freq_grids(cfg, n)
+    stacked = extract_peak_observations(
+        FreqGrid(y_tilde=np.stack([fg.y_tilde for fg in grids])), cfg)
+    assert stacked.delay_obs_s.shape == (n, m)
+    assert stacked.dopp_obs_hz.shape == (n, k)
+    for row, fg in enumerate(grids):
+        alone = extract_peak_observations(fg, cfg)
+        assert stacked.delay_obs_s[row].tobytes() == alone.delay_obs_s.tobytes()
+        assert stacked.dopp_obs_hz[row].tobytes() == alone.dopp_obs_hz.tobytes()
 
 
 def test_peak_observations_recover_static_delay(cfg):

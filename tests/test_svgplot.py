@@ -24,6 +24,11 @@ def test_parse_groups_by_snr_and_genie(tmp_path):
     assert groups[(9.0, "false")] == [(1.0, 1.0), (0.4, 0.9)]
 
 
+def test_parse_names_a_missing_file(tmp_path):
+    with pytest.raises(ConfigurationError, match="not found: .*nope.csv"):
+        parse_roc_csv(tmp_path / "nope.csv")
+
+
 def test_parse_rejects_bad_header(tmp_path):
     path = tmp_path / "roc.csv"
     path.write_text("wrong,header\n9.0,false\n")
