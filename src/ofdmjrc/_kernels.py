@@ -1,14 +1,11 @@
-"""Numerical hot paths: received-grid synthesis and tone-peak refinement.
+"""Generic numerics, plain numpy and blind to the OFDM config.
 
-Both are plain numpy. synth_grid places each subcarrier's symbols on its
-DFT bin and takes one inverse FFT per symbol, which is exact because the
-sample rate is n_fft * delta_f. refine_tones runs a few Newton steps on
-the closed-form derivatives of the tone power inside a bracket around
-each coarse peak, stopping each row on its own. Their phasors, and the
-detector's, are integer powers z^1 .. z^top of one phasor per row
-(tone_powers): one complex exp per row and one cumulative product, each
-power within about top * eps of its exp value. tests/test_kernels.py
-holds a per-element synthesis loop and a golden-section search as oracles."""
+tone_powers builds z^1 .. z^top from one phasor per row by a cumulative
+product, each power within about top * eps of its exp value; refine_tones
+and waveform.grid_phasors build their phasors with it. refine_tones runs
+a few Newton steps on the closed-form derivatives of the tone power in a
+bracket around each coarse peak, stopping each row on its own; its
+oracle in tests/test_kernels.py is a golden-section search."""
 
 from __future__ import annotations
 
@@ -23,36 +20,6 @@ def tone_powers(z, top):
     """z^1 .. z^top along a new last axis, by one cumulative product."""
     powers = np.full((*np.shape(z), top), np.asarray(z)[..., None], np.complex128)
     return powers.cumprod(axis=-1, out=powers)
-
-
-def grid_phasors(k_idx, delta_f, m_t, tau, v, f_cfo, f_c, c_light):
-    """e^{j2pi(k delta_f ((2v/c) m_t - tau) + f_slow m_t)} over [..., m, k],
-    f_slow = (f_c + f_cfo)(2v/c) + f_cfo, with m_t [m] and the rest
-    broadcasting against it; z^k is z^(k - k0 + 1) times z^(k0 - 1)."""
-    two_v_c = 2.0 * v / c_light
-    shift, k0 = two_v_c * m_t - tau, int(k_idx.min())
-    z = np.exp(2j * np.pi * delta_f * shift)
-    slow = np.exp(2j * np.pi * (((f_c + f_cfo) * two_v_c + f_cfo) * m_t
-                                + delta_f * (k0 - 1) * shift))
-    return slow[..., None] * tone_powers(z, int(k_idx.max()) - k0 + 1)[..., k_idx - k0]
-
-
-def synth_grid(x, k_idx, n_fft, m_symbols, delta_f, t_sym,
-               h_eff, tau0, v, f_cfo, f_c, c_light):
-    """Received sample grid y[m, n] for one delayed, Doppler-shifted echo.
-
-    y[m,n] = (h/sqrt(N)) sum_k x[k,m] e^{j2pi k n/N}
-             * e^{j2pi k delta_f ((2v/c) m t_sym - tau0)} * e^{j2pi f_slow m t_sym}
-
-    k_idx holds distinct integer subcarrier indices with |k| < n_fft; bin
-    k lands at k mod n_fft of each symbol's inverse FFT.
-    """
-    k_idx = np.asarray(k_idx)
-    m_t = np.arange(m_symbols, dtype=np.float64) * t_sym
-    phasors = grid_phasors(k_idx, delta_f, m_t, tau0, v, f_cfo, f_c, c_light)
-    buf = np.zeros((m_symbols, n_fft), dtype=np.complex128)
-    buf[:, k_idx % n_fft] = np.asarray(x, dtype=np.complex128).T * phasors
-    return np.fft.ifft(buf, axis=1, norm="forward") * (h_eff / np.sqrt(n_fft))
 
 
 def refine_tones(rows, powers, step, sign, x0, half, rel_tol):

@@ -8,7 +8,8 @@ transmitter that replays the waveform; its oscillator is not locked to
 the victim radar, so the replay carries an offset on top of the same
 delay and Doppler geometry. Scenario enforces the rule by rejecting a
 real target with a nonzero f_cfo_hz, so synth_target synthesizes both
-kinds with scenario.f_cfo_hz and one kernel.
+kinds with scenario.f_cfo_hz and waveform.grid_phasors, then takes one
+inverse FFT per symbol, exact because the sample rate is n_fft * delta_f.
 
 The offset enters only through the symbol-to-symbol phase progression.
 Its residual phase ramp inside one symbol is orders of magnitude below
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import CalibrationError, ConfigurationError, SingularityError
 from .grids import SampleGrid, write_cells_csv
-from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, grid_constants
+from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, grid_constants, grid_phasors
 
 
 class TargetKind(enum.Enum):
@@ -89,8 +89,8 @@ def wavelength_m(f_c_hz: float) -> float:
 def path_loss_gain(lambda_m: float, sigma_rcs_m2: float, r0_m: float) -> float:
     """Two-way radar power gain lambda^2 * sigma / (64 pi^3 R^4).
 
-    A range whose fourth power is beyond float range gives 0.0, the gain
-    such a range underflows to, rather than an OverflowError.
+    A range whose fourth power overflows gives the 0.0 the gain underflows
+    to; one so short that the gain is not finite raises SingularityError.
     """
     if r0_m <= 0:
         raise SingularityError(f"range must be positive, got {r0_m}")
@@ -103,7 +103,11 @@ def path_loss_gain(lambda_m: float, sigma_rcs_m2: float, r0_m: float) -> float:
         r4 = r0_m**4
     except OverflowError:
         return 0.0
-    return lambda_m * lambda_m * sigma_rcs_m2 / (64.0 * np.pi**3 * r4)
+    denom = 64.0 * np.pi**3 * r4
+    gain = lambda_m * lambda_m * sigma_rcs_m2 / denom if denom else math.inf
+    if not math.isfinite(gain):
+        raise SingularityError(f"range {r0_m} m is too short: path loss gain is {gain}")
+    return gain
 
 
 @dataclass(frozen=True)
@@ -150,13 +154,12 @@ def synth_target(cfg: OfdmConfig, scenario: Scenario,
     common slow-time rotation at (f_c+f_cfo)*(2v/c) + f_cfo, where f_cfo
     is 0 for a real target.
     """
-    y = _kernels.synth_grid(
-        frame.x, cfg.cached(grid_constants).k_idx,
-        cfg.n_fft, cfg.m_symbols, cfg.delta_f_hz, cfg.t_sym_s,
-        gain.h_eff, 2.0 * scenario.r0_m / C_LIGHT, scenario.v_mps,
-        scenario.f_cfo_hz, cfg.f_c_hz, C_LIGHT,
-    )
-    return SampleGrid(y=y)
+    phasors = grid_phasors(cfg, 2.0 * scenario.r0_m / C_LIGHT, scenario.v_mps,
+                           scenario.f_cfo_hz)
+    buf = np.zeros((cfg.m_symbols, cfg.n_fft), dtype=np.complex128)
+    buf[:, grid_constants(cfg).k_idx % cfg.n_fft] = frame.x.T * phasors
+    return SampleGrid(y=np.fft.ifft(buf, axis=1, norm="forward")
+                      * (gain.h_eff / np.sqrt(cfg.n_fft)))
 
 
 def add_awgn(grid: SampleGrid, snr_db: float, seed) -> SampleGrid:
@@ -165,7 +168,7 @@ def add_awgn(grid: SampleGrid, snr_db: float, seed) -> SampleGrid:
     The per-sample noise variance is mean(|y|^2) / 10^(snr_db/10), so the
     stated SNR is the post-channel SNR regardless of path loss or the
     drawn gain magnitude. snr_db=+inf returns the grid unchanged with
-    sigma2=0.
+    sigma2=0; CalibrationError if sigma2 is not positive and finite.
     """
     y = grid.y
     if np.isposinf(snr_db):
@@ -175,7 +178,12 @@ def add_awgn(grid: SampleGrid, snr_db: float, seed) -> SampleGrid:
         raise CalibrationError(
             "cannot calibrate noise on an all-zero grid at finite SNR"
         )
-    sigma2 = p_sig / (10.0 ** (snr_db / 10.0))
+    try:
+        sigma2 = p_sig / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not 0.0 < sigma2 < math.inf:
+        raise CalibrationError(f"snr_db={snr_db} gives noise variance {sigma2}")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
     noise *= np.sqrt(sigma2 / 2.0)

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .channel import Scenario, TargetKind
-from .detector import MODE_AMPLITUDE, MODE_REAL_PART
+from .detector import MODE_AMPLITUDE, check_mode
 from .errors import ConfigurationError
 from .waveform import OfdmConfig, build_config
 
@@ -154,11 +154,7 @@ def scenario_from(cfg_map: dict[str, object], seed: int = 0) -> Scenario:
 
 def detector_mode_from(cfg_map: dict[str, object]) -> str:
     mode = cfg_map["detector.mode"]
-    if mode not in (MODE_AMPLITUDE, MODE_REAL_PART):
-        raise ConfigurationError(
-            f"detector.mode must be {MODE_AMPLITUDE!r} or {MODE_REAL_PART!r}, "
-            f"got {mode!r}"
-        )
+    check_mode(mode)
     return mode
 
 

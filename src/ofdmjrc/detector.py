@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigurationError, EstimationSetupError, PipelineError
 from .estimator import Estimates
-from .waveform import C_LIGHT, OfdmConfig, grid_constants
+from .waveform import C_LIGHT, OfdmConfig, grid_phasors
 
 MODE_AMPLITUDE = "amplitude"
 MODE_REAL_PART = "real_part"
@@ -67,15 +66,12 @@ def _templates(cfg: OfdmConfig, r0_m, v_mps, f_cfo_hz) -> np.ndarray:
     vectors, ordering z[k + m*K].
 
     Element (k, m) carries e^{j2pi(k delta_f(-tau + (2v/c) m t_sym) + f_slow m t_sym)}
-    with tau = 2 r0/c, from the channel synthesizer's phasor kernel, so a
+    with tau = 2 r0/c, from the channel synthesizer's phase model, so a
     noiseless grid with matching parameters is collinear with its template.
     """
-    consts = cfg.cached(grid_constants)
     r0_m, v_mps, f_cfo_hz = (np.asarray(a, dtype=np.float64)[:, None]
                              for a in (r0_m, v_mps, f_cfo_hz))
-    u = _kernels.grid_phasors(consts.k_idx, cfg.delta_f_hz, consts.m_t_s,
-                              2.0 * r0_m / C_LIGHT, v_mps, f_cfo_hz,
-                              cfg.f_c_hz, C_LIGHT).reshape(r0_m.shape[0], -1)
+    u = grid_phasors(cfg, 2.0 * r0_m / C_LIGHT, v_mps, f_cfo_hz).reshape(len(r0_m), -1)
     return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
 
@@ -101,6 +97,13 @@ def synth_templates(cfg: OfdmConfig, est0, est1) -> TemplatePair:
     return TemplatePair(u0=u0, u1=u1) if batch else TemplatePair(u0=u0[0], u1=u1[0])
 
 
+def check_mode(mode: str) -> None:
+    """Raise ConfigurationError unless mode is one of the statistic modes."""
+    if mode not in _MODES:
+        raise ConfigurationError(f"unknown statistic mode {mode!r}; "
+                                 f"expected one of {_MODES}")
+
+
 def glrt_statistic(z: np.ndarray, tp: TemplatePair,
                    mode: str = MODE_AMPLITUDE):
     """Correlate z against both templates and difference the scores.
@@ -109,9 +112,7 @@ def glrt_statistic(z: np.ndarray, tp: TemplatePair,
     A float for one grid z [n]; an array of one statistic per row for
     stacked grids z [B, n].
     """
-    if mode not in _MODES:
-        raise ConfigurationError(f"unknown statistic mode {mode!r}; "
-                                 f"expected one of {_MODES}")
+    check_mode(mode)
     z = np.asarray(z)
     if z.ndim not in (1, 2) or z.shape != tp.u0.shape or z.shape != tp.u1.shape:
         raise PipelineError(

@@ -34,6 +34,7 @@ the zero-offset adversary is indistinguishable by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -122,7 +123,13 @@ class DesignMatrices:
         object.__setattr__(self, "h1", ScaledLs(self.a2))
 
 
-def _design_matrices(cfg: OfdmConfig) -> DesignMatrices:
+@functools.cache
+def build_design_matrices(cfg: OfdmConfig) -> DesignMatrices:
+    """Design blocks for m_symbols delay rows plus k_active Doppler rows.
+
+    Delay rows: [2/c, -(2/c)*m*t_sym]; Doppler rows: [0, (2/c)*(f_c + k*delta_f)].
+    Built and factored once per config; later calls return the same object.
+    """
     if cfg.m_symbols < 2 or cfg.k_active < 2:
         raise EstimationSetupError(
             "need at least 2 symbols and 2 active subcarriers for full "
@@ -136,20 +143,11 @@ def _design_matrices(cfg: OfdmConfig) -> DesignMatrices:
     ])
     dopp_rows = np.column_stack([
         np.zeros(cfg.k_active),
-        cfg.cached(grid_constants).v_coef,
+        grid_constants(cfg).v_coef,
     ])
     a2 = np.vstack([delay_rows, dopp_rows])
     a1 = np.concatenate([np.zeros(cfg.m_symbols), np.ones(cfg.k_active)])
     return DesignMatrices(a2=a2, a1=a1)
-
-
-def build_design_matrices(cfg: OfdmConfig) -> DesignMatrices:
-    """Design blocks for m_symbols delay rows plus k_active Doppler rows.
-
-    Delay rows: [2/c, -(2/c)*m*t_sym]; Doppler rows: [0, (2/c)*(f_c + k*delta_f)].
-    Built and factored once per config; later calls return the same object.
-    """
-    return cfg.cached(_design_matrices)
 
 
 @dataclass(frozen=True)
@@ -194,12 +192,13 @@ def estimate_h1(obs: ObservationVector, dm: DesignMatrices) -> Estimates:
                      hypothesis="h1")
 
 
+@functools.cache
 def _genie_solver(cfg: OfdmConfig, f_cfo_hz: float) -> ScaledLs:
     """Geometry fit [R, v] with the offset known exactly, including the
     otherwise-dropped velocity-offset cross term in the v column."""
     a = build_design_matrices(cfg).a2.copy()
     a[cfg.m_symbols:, 1] = (2.0 / C_LIGHT) * (
-        cfg.f_c_hz + f_cfo_hz + cfg.cached(grid_constants).k_hz)
+        cfg.f_c_hz + f_cfo_hz + grid_constants(cfg).k_hz)
     return ScaledLs(a)
 
 
@@ -208,7 +207,7 @@ def _bounded(cfg: OfdmConfig, obs: ObservationVector, r_m, v_mps):
     v = float(np.clip(v_mps, -cfg.v_max_mps, cfg.v_max_mps))
     if v == v_mps:
         return float(r_m), v
-    m_t = cfg.cached(grid_constants).m_t_s
+    m_t = grid_constants(cfg).m_t_s
     return float(0.5 * C_LIGHT * np.mean(
         obs.f[:obs.n_delay] + (2.0 * v / C_LIGHT) * m_t)), v
 
@@ -222,13 +221,13 @@ def bounded_fits(cfg: OfdmConfig, obs: ObservationVector, est0: Estimates,
     r1, v1 = _bounded(cfg, obs, est1.r0_hat_m, est1.v_hat_mps)
     r0, v0, f = r1, v1, genie_cfo_hz
     if f is None:
-        resid = obs.f[obs.n_delay:] - v1 * cfg.cached(grid_constants).v_coef
+        resid = obs.f[obs.n_delay:] - v1 * grid_constants(cfg).v_coef
         f = float(np.mean(resid) / (1.0 + 2.0 * v1 / C_LIGHT))
         f = 0.0 if abs(f) < cfo_floor_hz else f
     elif f != 0.0:
         rhs = obs.f.copy()
         rhs[obs.n_delay:] -= f
-        theta, _ = cfg.cached(_genie_solver, float(f)).solve(rhs)
+        theta, _ = _genie_solver(cfg, float(f)).solve(rhs)
         r0, v0 = _bounded(cfg, obs, theta[0], theta[1])
     # "or 0.0": a zero offset of either sign becomes +0.0
     return (replace(est0, r0_hat_m=r0, v_hat_mps=v0, f_cfo_hat_hz=float(f) or 0.0),

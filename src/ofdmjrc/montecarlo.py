@@ -51,6 +51,7 @@ from .channel import (
 from .detector import (
     MODE_AMPLITUDE,
     GlrtOutcome,
+    check_mode,
     decide,
     glrt_statistic,
     synth_templates,
@@ -229,9 +230,10 @@ def _record(scenario: Scenario, genie: bool, result) -> TrialRecord:
                        error=str(result) if failed else None)
 
 
-def _check_detector(cfo_floor_hz: float, gamma_prime: float) -> None:
-    """A NaN floor would never snap an offset to zero, and a NaN threshold
-    would fail every decision; +-inf stay legal."""
+def _check_detector(mode: str, cfo_floor_hz: float, gamma_prime: float) -> None:
+    """An unknown mode fails every statistic, a NaN floor never snaps an
+    offset to zero, a NaN threshold fails every decision; +-inf are legal."""
+    check_mode(mode)
     for name, value in (("cfo_floor_hz", cfo_floor_hz), ("gamma_prime", gamma_prime)):
         if np.isnan(value):
             raise ConfigurationError(f"{name} must not be NaN")
@@ -246,7 +248,7 @@ def _run_batch(cfg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
     stage raises, a lone live trial under a lone flag takes the error;
     otherwise every trial reruns as a batch of one under each flag.
     """
-    _check_detector(cfo_floor_hz, gamma_prime)
+    _check_detector(mode, cfo_floor_hz, gamma_prime)
     results, fronts = [], []
     for scenario in scenarios:
         try:
@@ -391,7 +393,7 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if master_seed < 0:
         raise ConfigurationError(f"master_seed must be >= 0, got {master_seed}")
-    _check_detector(cfo_floor_hz, 0.0)
+    _check_detector(mode, cfo_floor_hz, 0.0)
     if gamma_grid is not None:
         gamma_grid = np.asarray(gamma_grid, dtype=np.float64)
         if gamma_grid.size == 0:

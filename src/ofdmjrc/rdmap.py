@@ -40,7 +40,7 @@ def fast_time_dft(grid: SampleGrid, cfg: OfdmConfig) -> np.ndarray:
             f"({cfg.m_symbols}, {cfg.n_fft})"
         )
     spectrum = np.fft.fft(grid.y, axis=-1, norm="ortho")
-    cols = cfg.cached(grid_constants).k_idx % cfg.n_fft
+    cols = grid_constants(cfg).k_idx % cfg.n_fft
     return np.swapaxes(spectrum[..., cols], -1, -2)
 
 
@@ -69,7 +69,7 @@ def _delay_spectrum(cfg: OfdmConfig, cols: np.ndarray) -> np.ndarray:
     along the last axis, shape [..., Ld]; bin d maps to d/(Ld*delta_f)."""
     ld = cfg.n_fft * cfg.zero_pad
     buf = np.zeros((*cols.shape[:-1], ld), dtype=np.complex128)
-    buf[..., cfg.cached(grid_constants).k_idx % ld] = cols
+    buf[..., grid_constants(cfg).k_idx % ld] = cols
     return np.fft.ifft(buf, axis=-1, norm="forward")
 
 
@@ -153,7 +153,7 @@ def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations
     y_tilde = fg.y_tilde
     if not np.all(np.any(np.abs(y_tilde) > 0.0, axis=(-2, -1))):
         raise NoPeakError("grid is identically zero; no peak to extract")
-    consts = cfg.cached(grid_constants)
+    consts = grid_constants(cfg)
     *lead, k, m = y_tilde.shape
 
     ld = cfg.n_fft * cfg.zero_pad

@@ -6,15 +6,20 @@ all-ones BPSK so the receiver can divide them out without bookkeeping;
 data tones carry unit-energy QPSK. Everything downstream assumes the
 unitary DFT convention fixed here: forward kernel e^{-j2pi.}, inverse
 kernel e^{+j2pi.}, 1/sqrt(N) on both directions.
+
+grid_phasors is the one phase model of an echo (delay, Doppler, offset)
+over the grid, shared by the channel's synthesis and the detector's templates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import tone_powers
 from .errors import ConfigurationError
 from .grids import SampleGrid, write_cells_csv
 
@@ -48,19 +53,6 @@ class OfdmConfig:
     def t_sym_s(self) -> float:
         """Symbol duration 1/delta_f (no cyclic prefix in this model)."""
         return 1.0 / self.delta_f_hz
-
-    def cached(self, build, *args):
-        """build(self, *args), computed on first use and kept on this config.
-
-        For values that depend on the configuration (and args) alone: the
-        config is frozen, so they never go stale. Callers must not modify
-        what it returns.
-        """
-        store = self.__dict__.setdefault("_cached", {})
-        key = (build, *args)
-        if key not in store:
-            store[key] = build(self, *args)
-        return store[key]
 
 
 def build_config(**kwargs) -> OfdmConfig:
@@ -144,8 +136,9 @@ class GridConstants:
     doppler_hz: np.ndarray  # unshifted zero-padded Doppler axis [m * zero_pad]
 
 
+@functools.cache
 def grid_constants(cfg: OfdmConfig) -> GridConstants:
-    """The arrays every trial needs from cfg alone; use cfg.cached(grid_constants)."""
+    """The arrays every trial needs from cfg alone, built once per config."""
     k_idx = active_subcarriers(cfg)
     k_hz = k_idx.astype(np.float64) * cfg.delta_f_hz
     consts = GridConstants(
@@ -157,6 +150,20 @@ def grid_constants(cfg: OfdmConfig) -> GridConstants:
     for arr in vars(consts).values():
         arr.flags.writeable = False
     return consts
+
+
+def grid_phasors(cfg: OfdmConfig, tau, v, f_cfo) -> np.ndarray:
+    """e^{j2pi(k delta_f ((2v/c) m t_sym - tau) + f_slow m t_sym)} over [..., m, k],
+    f_slow = (f_c + f_cfo)(2v/c) + f_cfo, with tau, v and f_cfo broadcasting
+    against the [m] symbol times; z^k is z^(k - k0 + 1) times z^(k0 - 1)."""
+    consts = grid_constants(cfg)
+    k_idx, m_t = consts.k_idx, consts.m_t_s
+    two_v_c = 2.0 * v / C_LIGHT
+    shift, k0 = two_v_c * m_t - tau, int(k_idx.min())
+    z = np.exp(2j * np.pi * cfg.delta_f_hz * shift)
+    slow = np.exp(2j * np.pi * (((cfg.f_c_hz + f_cfo) * two_v_c + f_cfo) * m_t
+                                + cfg.delta_f_hz * (k0 - 1) * shift))
+    return slow[..., None] * tone_powers(z, int(k_idx.max()) - k0 + 1)[..., k_idx - k0]
 
 
 @dataclass(frozen=True)
@@ -185,7 +192,7 @@ def generate_frame(cfg: OfdmConfig, seed) -> FrameSymbols:
     """
     rng = np.random.default_rng(seed)
     x = QPSK_ALPHABET[rng.integers(0, 4, size=(cfg.k_active, cfg.m_symbols))]
-    pil = cfg.cached(grid_constants).pilot_pos
+    pil = grid_constants(cfg).pilot_pos
     if pil.size:
         x[pil, :] = 1.0 + 0.0j
     return FrameSymbols(x=x)

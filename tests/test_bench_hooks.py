@@ -1,4 +1,5 @@
-"""The names perfbench swaps to time each stage must stay where it looks.
+"""The names perfbench swaps to time each stage must stay where it looks,
+and the names it imports from ofdmjrc must exist.
 
 perfbench/phases.py times a trial's stages by replacing module-level
 names in ofdmjrc.montecarlo and ofdmjrc.cli with wrappers. A refactor
@@ -10,6 +11,7 @@ here.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -35,6 +37,27 @@ def _phases_tuple(name: str) -> tuple[str, ...]:
 STAGES = _phases_tuple("STAGES")
 EXPORT_CALLS = _phases_tuple("EXPORT_CALLS")
 ROC_SETS = _phases_tuple("ROC_SETS")
+
+
+def _ofdmjrc_imports():
+    """(file, module, name) of every `from ofdmjrc... import name` in
+    perfbench's run.py and phases.py, function bodies included."""
+    found = []
+    for path in (_PHASES.with_name("run.py"), _PHASES):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "ofdmjrc"):
+                found += [(path.name, node.module, a.name) for a in node.names]
+    return found
+
+
+def test_every_name_perfbench_imports_from_ofdmjrc_exists():
+    # run.py imports ofdmjrc._kernels for the provenance of every run
+    found = _ofdmjrc_imports()
+    assert ("run.py", "ofdmjrc", "_kernels") in found
+    for _, module, name in found:
+        if not hasattr(importlib.import_module(module), name):
+            importlib.import_module(f"{module}.{name}")  # a submodule
 
 
 def test_perfbench_lists_the_thirteen_stages():

@@ -67,6 +67,10 @@ def test_path_loss_rejects_degenerate_inputs():
         path_loss_gain(0.06, -1.0, 10.0)
     with pytest.raises(SingularityError):
         path_loss_gain(0.0, 1.0, 10.0)
+    # 1e-200**4 underflows to zero; at 1e-80 the gain overflows to inf
+    for r0_m in (1e-200, 1e-80):
+        with pytest.raises(SingularityError, match=f"range {r0_m} m is too short"):
+            path_loss_gain(0.06, 1.0, r0_m)
 
 
 def test_scenario_validation():
@@ -229,6 +233,14 @@ def test_add_awgn_rejects_silent_grid(cfg):
     silent = SampleGrid(y=np.zeros((cfg.m_symbols, cfg.n_fft), dtype=np.complex128))
     with pytest.raises(CalibrationError):
         add_awgn(silent, 9.0, seed=0)
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+def test_an_snr_beyond_float_range_is_a_calibration_error(cfg, snr_db):
+    # 10**400 overflows and 10**-400 underflows to zero
+    grid = idft_modulate(generate_frame(cfg, seed=1), cfg)
+    with pytest.raises(CalibrationError, match=f"snr_db={snr_db} gives noise"):
+        add_awgn(grid, snr_db, seed=0)
 
 
 def test_grid_binary_round_trip(tmp_path, cfg):

@@ -139,6 +139,28 @@ def test_pipeline_failure_without_grids_exits_3(tmp_path):
     assert not (out / "rdmap.csv").exists()
 
 
+def test_a_range_too_short_for_a_finite_gain_exits_3(tmp_path):
+    out = tmp_path / "out"
+    proc = _run("simulate", "--set", "io.dump_grids=true",
+                "--set", "scenario.r0_m=1e-200", "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: range 1e-200 m is too short: "
+                           "path loss gain is inf\n")
+
+
+@pytest.mark.parametrize("setting, counts", [
+    ("scenario.r0_m=1e-80", "(2 curves, 8 trials, 8 invalid)"),
+    ("mc.snr_db_list=4000", "(1 curves, 4 trials, 4 invalid)")])
+def test_roc_records_trials_beyond_float_range_as_invalid(tmp_path, setting,
+                                                          counts):
+    proc = _run("roc", "--set", setting, "--set", "mc.n_trials=2",
+                "--set", "mc.genie=estimated", "--workers", "1",
+                "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(counts + "\n")
+    assert proc.stderr.startswith("warning: curve snr_db=")
+
+
 def test_roc_reports_curves_without_valid_trials(tmp_path):
     out = tmp_path / "out"
     proc = _run("roc", *_LOST, "--set", "mc.n_trials=4", "--workers", "1",

@@ -16,7 +16,7 @@ from ofdmjrc import (
 )
 from ofdmjrc import active_subcarriers, synth_templates
 from ofdmjrc.estimator import ScaledLs, bounded_fits
-from ofdmjrc.waveform import C_LIGHT
+from ofdmjrc.waveform import C_LIGHT, grid_constants
 
 
 def _obs_from_params(cfg, dm, r0, v, f_cfo):
@@ -62,6 +62,15 @@ def test_build_design_matrices_needs_enough_rows():
         from dataclasses import replace
 
         build_design_matrices(replace(tiny, m_symbols=1))
+
+
+def test_equal_configs_share_one_design_and_one_set_of_constants():
+    # separate but equal configs, as two CLI calls in one process build them
+    a, b = build_config(m_symbols=12), build_config(m_symbols=12)
+    assert a is not b
+    assert build_design_matrices(a) is build_design_matrices(b)
+    assert grid_constants(a) is grid_constants(b)
+    assert build_design_matrices(build_config()) is not build_design_matrices(a)
 
 
 def test_offset_fit_recovers_exact_linear_observations(cfg):

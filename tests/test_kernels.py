@@ -8,50 +8,55 @@ import numpy as np
 import pytest
 
 import ofdmjrc.montecarlo as mc
-from ofdmjrc import MODE_AMPLITUDE, Scenario, TargetKind, _kernels, build_config, detector
+from ofdmjrc import (MODE_AMPLITUDE, ChannelGain, FrameSymbols, Scenario, TargetKind,
+                     _kernels, active_subcarriers, build_config, detector,
+                     synth_target, waveform)
 
 _C = 299_792_458.0
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _random_args(seed, n_fft=16, m_symbols=4):
+def _random_trial(seed, n_fft=16, m_symbols=4):
+    """A config with subcarriers -3..3, a random frame, channel and false
+    target; the reference loop reads the same values from them."""
     rng = np.random.default_rng(seed)
-    k_idx = np.array([-3, -2, -1, 1, 2, 3])
-    x = rng.standard_normal((k_idx.size, m_symbols)) \
-        + 1j * rng.standard_normal((k_idx.size, m_symbols))
-    delta_f = 312.5e3
-    t_sym = 1.0 / delta_f
+    cfg = build_config(n_fft=n_fft, k_active=6, n_pilot=0, m_symbols=m_symbols)
+    x = rng.standard_normal((cfg.k_active, m_symbols)) \
+        + 1j * rng.standard_normal((cfg.k_active, m_symbols))
     h_eff = complex(rng.standard_normal(), rng.standard_normal())
-    tau0 = rng.uniform(0.0, t_sym / 4)
+    tau0 = rng.uniform(0.0, cfg.t_sym_s / 4)
     v = rng.uniform(-50.0, 50.0)
     f_cfo = rng.uniform(-20e3, 20e3)
-    return (x, k_idx, n_fft, m_symbols, delta_f, t_sym,
-            h_eff, tau0, v, f_cfo, 5e9, _C)
+    scenario = Scenario(kind=TargetKind.FALSE_TARGET, r0_m=0.5 * _C * tau0,
+                        v_mps=v, f_cfo_hz=f_cfo)
+    return cfg, scenario, FrameSymbols(x=x), ChannelGain(g=h_eff, big_g=1.0,
+                                                          h_eff=h_eff)
 
 
-def _synth_grid_loop(x, k_idx, n_fft, m_symbols, delta_f, t_sym,
-                     h_eff, tau0, v, f_cfo, f_c, c_light):
+def _synth_grid_loop(cfg, scenario, frame, gain):
     """Per-element evaluation of the received-grid model, sampled at n/f_s."""
-    f_s = n_fft * delta_f
-    slow_freq = (f_c + f_cfo) * (2.0 * v / c_light) + f_cfo
-    two_v_c = 2.0 * v / c_light
-    out = np.empty((m_symbols, n_fft), np.complex128)
-    for m in range(m_symbols):
+    n_fft, delta_f, t_sym = cfg.n_fft, cfg.delta_f_hz, cfg.t_sym_s
+    k_idx, f_s = active_subcarriers(cfg), n_fft * delta_f
+    tau0, v, f_cfo = 2.0 * scenario.r0_m / _C, scenario.v_mps, scenario.f_cfo_hz
+    slow_freq = (cfg.f_c_hz + f_cfo) * (2.0 * v / _C) + f_cfo
+    two_v_c = 2.0 * v / _C
+    out = np.empty((cfg.m_symbols, n_fft), np.complex128)
+    for m in range(cfg.m_symbols):
         mt = m * t_sym
         slow = cmath.exp(2j * math.pi * slow_freq * mt)
         for n in range(n_fft):
             acc = 0.0 + 0.0j
             for q, k in enumerate(k_idx):
                 ph = 2.0 * math.pi * k * delta_f * (n / f_s - tau0 + two_v_c * mt)
-                acc += x[q, m] * cmath.exp(1j * ph)
-            out[m, n] = h_eff / math.sqrt(n_fft) * slow * acc
+                acc += frame.x[q, m] * cmath.exp(1j * ph)
+            out[m, n] = gain.h_eff / math.sqrt(n_fft) * slow * acc
     return out
 
 
 def test_numpy_synthesis_matches_reference_loop():
     for seed in range(5):
-        args = _random_args(seed)
-        fast = _kernels.synth_grid(*args)
+        args = _random_trial(seed)
+        fast = synth_target(*args).y
         slow = _synth_grid_loop(*args)
         np.testing.assert_allclose(fast, slow, rtol=1e-9)
 
@@ -65,33 +70,39 @@ def test_tone_powers_match_exp(top):
     assert np.abs(got - want).max() <= 1e-12
 
 
-def _exp_synth_grid(x, k_idx, n_fft, m_symbols, delta_f, t_sym,
-                    h_eff, tau0, v, f_cfo, f_c, c_light):
+def _exp_synth_grid(cfg, scenario, frame, gain):
     """The synthesis formula with one complex exp per element."""
-    m_t = np.arange(m_symbols, dtype=np.float64) * t_sym
-    shift = (2.0 * v / c_light) * m_t - tau0
-    phase_km = np.exp(2j * np.pi * np.outer(k_idx * delta_f, shift))  # [k, m]
-    buf = np.zeros((m_symbols, n_fft), dtype=np.complex128)
-    buf[:, k_idx % n_fft] = (x * phase_km).T
+    k_idx, n_fft = active_subcarriers(cfg), cfg.n_fft
+    v, f_cfo = scenario.v_mps, scenario.f_cfo_hz
+    m_t = np.arange(cfg.m_symbols, dtype=np.float64) * cfg.t_sym_s
+    shift = (2.0 * v / _C) * m_t - 2.0 * scenario.r0_m / _C
+    phase_km = np.exp(2j * np.pi * np.outer(k_idx * cfg.delta_f_hz, shift))  # [k, m]
+    buf = np.zeros((cfg.m_symbols, n_fft), dtype=np.complex128)
+    buf[:, k_idx % n_fft] = (frame.x * phase_km).T
     y = np.fft.ifft(buf, axis=1, norm="forward")
-    f_slow = (f_c + f_cfo) * (2.0 * v / c_light) + f_cfo
+    f_slow = (cfg.f_c_hz + f_cfo) * (2.0 * v / _C) + f_cfo
     slow = np.exp(2j * np.pi * f_slow * m_t)
-    return y * (slow * (h_eff / np.sqrt(n_fft)))[:, None]
+    return y * (slow * (gain.h_eff / np.sqrt(n_fft)))[:, None]
 
 
 def test_power_synthesis_matches_the_exp_formula_on_the_large_grid():
-    # n_fft 256, 200 active subcarriers around DC, 32 symbols
-    k_idx = np.r_[-100:0, 1:101]
+    cfg = build_config(n_fft=256, k_active=200, n_pilot=24, m_symbols=32,
+                       zero_pad=4)
+    k_idx = active_subcarriers(cfg)
     for seed in range(3):
         rng = np.random.default_rng(seed)
         x = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (k_idx.size, 32)))
-        args = (x, k_idx, 256, 32, 312.5e3, 1.0 / 312.5e3,
-                complex(*rng.standard_normal(2)), rng.uniform(1e-7, 3e-6),
-                rng.uniform(-100.0, 100.0), rng.uniform(-20e3, 20e3), 5e9, _C)
+        h_eff = complex(*rng.standard_normal(2))
+        scenario = Scenario(kind=TargetKind.FALSE_TARGET,
+                            r0_m=0.5 * _C * rng.uniform(1e-7, 3e-6),
+                            v_mps=rng.uniform(-100.0, 100.0),
+                            f_cfo_hz=rng.uniform(-20e3, 20e3))
+        args = (cfg, scenario, FrameSymbols(x=x),
+                ChannelGain(g=h_eff, big_g=1.0, h_eff=h_eff))
         # compared on the active bins, each of modulus |h_eff|/16; a time
         # sample can be a near-cancelling sum of them
         got, want = (np.fft.fft(y, axis=1)[:, k_idx % 256]
-                     for y in (_kernels.synth_grid(*args), _exp_synth_grid(*args)))
+                     for y in (synth_target(*args).y, _exp_synth_grid(*args)))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -247,12 +258,13 @@ class _CountingNumpy:
 
 def test_a_trial_takes_fewer_complex_exps_than_grid_cells(monkeypatch):
     # one exp per grid cell and Newton step was the cost before the
-    # phasors became integer powers of one phasor per row
+    # phasors became integer powers of one phasor per row; the synthesis
+    # and the templates take theirs in waveform.grid_phasors
     cfg = build_config(n_fft=256, k_active=200, n_pilot=24, m_symbols=32,
                        zero_pad=4)
     counting = _CountingNumpy()
-    monkeypatch.setattr(_kernels, "np", counting)
-    monkeypatch.setattr(detector, "np", counting)
+    for module in (_kernels, detector, waveform):
+        monkeypatch.setattr(module, "np", counting)
     scenarios = [Scenario(kind=kind, f_cfo_hz=f, seed=seed)
                  for seed, (kind, f) in enumerate([(TargetKind.FALSE_TARGET, 10e3),
                                                    (TargetKind.REAL_TARGET, 0.0)])]

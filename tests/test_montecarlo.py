@@ -18,6 +18,7 @@ from ofdmjrc import (
     ObservationVector,
     Scenario,
     SampleGrid,
+    SingularityError,
     TargetKind,
     add_awgn,
     auto_gamma_grid,
@@ -25,10 +26,12 @@ from ofdmjrc import (
     build_design_matrices,
     estimate_h0,
     extract_peak_observations,
+    path_loss_gain,
     roc_sweep,
     run_batch,
     run_trial,
     trial_seed,
+    wavelength_m,
     wilson_interval,
     write_roc_csv,
 )
@@ -260,6 +263,41 @@ def test_a_failed_trial_does_not_touch_its_batch(numerology, genie):
     assert recs[4].error == str(no_peak.value)
     for sc, rec in zip(batch, recs):
         assert _bits(rec) == _bits(run_trial(cfg, sc, genie))
+
+
+@pytest.mark.parametrize("genie", [False, True])
+def test_a_range_too_short_for_a_finite_gain_stays_with_its_trial(cfg, genie):
+    good = _mixed_scenarios(4, master_seed=13)
+    for r0_m in (1e-200, 1e-80):
+        with pytest.raises(SingularityError) as short:
+            path_loss_gain(wavelength_m(cfg.f_c_hz), 1.0, r0_m)
+        rec = run_trial(cfg, replace(_FALSE, r0_m=r0_m), genie)
+        assert not rec.valid and rec.error == str(short.value)
+    batch = [good[0], good[1], replace(_REAL, r0_m=1e-200), good[2], good[3]]
+    recs = run_batch(cfg, batch, genie)
+    assert [r.valid for r in recs] == [True, True, False, True, True]
+    for sc, rec in zip(batch, recs):
+        assert _bits(rec) == _bits(run_trial(cfg, sc, genie))
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+def test_an_snr_beyond_float_range_is_an_invalid_trial(cfg, snr_db):
+    rec = run_trial(cfg, replace(_FALSE, snr_db=snr_db))
+    assert not rec.valid
+    assert rec.error.startswith(f"snr_db={snr_db} gives noise variance")
+
+
+def test_an_unknown_mode_is_rejected_before_any_trial(cfg, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(mc, "_front_half", no_trial)
+    for run in (lambda: _tiny_sweep(cfg, mode="bogus"),
+                lambda: run_batch(cfg, [_FALSE, _REAL], mode="bogus"),
+                lambda: run_trial(cfg, _FALSE, mode="bogus")):
+        with pytest.raises(ConfigurationError,
+                           match="unknown statistic mode 'bogus'"):
+            run()
 
 
 def test_ill_conditioned_config_invalidates_every_trial():

@@ -156,7 +156,7 @@ def test_map_matches_the_delay_transform_along_the_subcarrier_axis(numerology):
     fg = _noisy_freq_grids(cfg, 1)[0]
     ld, lm = cfg.n_fft * cfg.zero_pad, cfg.m_symbols * cfg.zero_pad
     buf = np.zeros((ld, cfg.m_symbols), dtype=np.complex128)
-    buf[cfg.cached(grid_constants).k_idx % ld, :] = fg.y_tilde
+    buf[grid_constants(cfg).k_idx % ld, :] = fg.y_tilde
     delayed = np.fft.ifft(buf, axis=-2, norm="forward")
     ref = np.abs(np.fft.fftshift(np.fft.fft(delayed, n=lm, axis=-1), axes=-1))
     assert range_doppler_map(fg, cfg).magnitudes.tobytes() == ref.tobytes()
