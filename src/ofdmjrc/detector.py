@@ -16,15 +16,14 @@ real, and is kept for comparison only. Larger statistic favors the
 real-target hypothesis in both modes.
 
 synth_templates and glrt_statistic also take the estimates and grids of
-several trials at once and return one row per trial; each row is bit
-for bit what that trial gets alone.
+several trials, stacked on a leading axis, and return one row per
+trial; each row is bit for bit what that trial gets alone.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,30 +70,31 @@ def _templates(cfg: OfdmConfig, r0_m, v_mps, f_cfo_hz) -> np.ndarray:
     """
     r0_m, v_mps, f_cfo_hz = (np.asarray(a, dtype=np.float64)[:, None]
                              for a in (r0_m, v_mps, f_cfo_hz))
-    u = grid_phasors(cfg, 2.0 * r0_m / C_LIGHT, v_mps, f_cfo_hz).reshape(len(r0_m), -1)
-    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+    u = grid_phasors(cfg, 2.0 * r0_m / C_LIGHT, v_mps, f_cfo_hz).reshape(
+        len(r0_m), cfg.m_symbols * cfg.k_active)
+    # np.linalg.norm(u, axis=-1, keepdims=True), without its checks
+    return u / np.sqrt(np.add.reduce((u.conj() * u).real, axis=-1, keepdims=True))
 
 
-def synth_templates(cfg: OfdmConfig, est0, est1) -> TemplatePair:
+def synth_templates(cfg: OfdmConfig, est0: Estimates, est1: Estimates) -> TemplatePair:
     """Rebuild both hypothesis templates from their estimates.
 
     est0 must carry an offset estimate; est1's offset is pinned to zero
     regardless of its fields. Identical geometry with a zero offset in
     est0 yields element-wise identical templates. est0 and est1 may also
-    be equal-length sequences of Estimates, one pair per trial; the
-    templates then carry a leading trial axis.
+    be stacks of B fits (see Estimates); the templates then carry a
+    leading trial axis [B, n], and B may be zero.
     """
-    batch = isinstance(est0, Sequence)
-    e0s, e1s = (est0, est1) if batch else ([est0], [est1])
-    if any(e.f_cfo_hat_hz is None for e in e0s):
+    if est0.f_cfo_hat_hz is None:
         raise EstimationSetupError(
             "false-target estimates must carry an offset estimate"
         )
-    ests = [*e1s, *e0s]
-    u = _templates(cfg, [e.r0_hat_m for e in ests], [e.v_hat_mps for e in ests],
-                   [0.0] * len(e1s) + [e.f_cfo_hat_hz for e in e0s])
-    u1, u0 = u[:len(e1s)], u[len(e1s):]
-    return TemplatePair(u0=u0, u1=u1) if batch else TemplatePair(u0=u0[0], u1=u1[0])
+    n = np.size(est1.r0_hat_m)
+    params = np.array([(est1.r0_hat_m, est1.v_hat_mps, np.zeros_like(est0.f_cfo_hat_hz)),
+                       (est0.r0_hat_m, est0.v_hat_mps, est0.f_cfo_hat_hz)], dtype=np.float64)
+    u = _templates(cfg, *params.reshape(2, 3, -1).swapaxes(0, 1).reshape(3, -1))
+    u1, u0 = u[:n], u[n:]
+    return TemplatePair(u0=u0, u1=u1) if np.ndim(est0.r0_hat_m) else TemplatePair(u0[0], u1[0])
 
 
 def check_mode(mode: str) -> None:
@@ -110,7 +110,7 @@ def glrt_statistic(z: np.ndarray, tp: TemplatePair,
 
     amplitude: T = |u1^H z|^2 - |u0^H z|^2; real_part: T = Re(u1^H z) - Re(u0^H z).
     A float for one grid z [n]; an array of one statistic per row for
-    stacked grids z [B, n].
+    stacked grids z [B, n], B possibly zero.
     """
     check_mode(mode)
     z = np.asarray(z)

@@ -35,7 +35,8 @@ the zero-offset adversary is indistinguishable by construction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class ObservationVector:
                 f"got {d.size} and {p.size}"
             )
         f = np.concatenate([d, p])
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise EstimationSetupError("observations must be finite")
         return cls(f=f, n_delay=int(d.size), n_doppler=int(p.size))
 
@@ -88,17 +89,21 @@ class ScaledLs:
         self.cond = float(np.linalg.cond(a_s))
         self.pinv = np.linalg.pinv(a_s)
 
-    def solve(self, f: np.ndarray) -> tuple[np.ndarray, float]:
-        """(theta, residual 2-norm) for observations f."""
+    def theta(self, f: np.ndarray) -> np.ndarray:
+        """The fitted parameters for observations f."""
         if not np.isfinite(self.cond) or self.cond > COND_LIMIT:
             raise IllConditionedError(
                 f"scaled design condition number {self.cond:.3e} exceeds "
                 f"{COND_LIMIT:.0e}",
                 condition=self.cond,
             )
-        theta = (self.pinv @ f) / self.scale
+        return (self.pinv @ f) / self.scale
+
+    def solve(self, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """(theta, residual 2-norm) for observations f."""
+        theta = self.theta(f)
         resid = f - self.a @ theta
-        return theta, float(np.linalg.norm(resid))
+        return theta, math.sqrt(resid.dot(resid))  # np.linalg.norm(resid)
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,8 @@ class Estimates:
     """One least-squares fit: parameters plus its residual 2-norm.
 
     f_cfo_hat_hz is None for the real-target fit, where the offset is
-    pinned to zero by hypothesis.
+    pinned to zero by hypothesis. A stack of fits, one per trial, holds
+    [B] arrays in place of the floats.
     """
 
     r0_hat_m: float
@@ -163,6 +169,19 @@ class Estimates:
     f_cfo_hat_hz: float | None
     residual_norm: float
     hypothesis: str
+
+    @classmethod
+    def stack(cls, fits, hypothesis: str) -> "Estimates":
+        """Single fits of one hypothesis as one stack."""
+        h0 = hypothesis == "h0"
+        r, v, f, res = np.array([(e.r0_hat_m, e.v_hat_mps, e.f_cfo_hat_hz if h0 else 0.0,
+                                  e.residual_norm) for e in fits]).reshape(-1, 4).T
+        return cls(r, v, f if h0 else None, res, hypothesis)
+
+    def take(self, rows) -> "Estimates":
+        """The fits at rows of a stack."""
+        return Estimates(*(a[rows] if isinstance(a, np.ndarray) else a
+                           for a in vars(self).values()))
 
 
 def _check_lengths(obs: ObservationVector, dm: DesignMatrices) -> None:
@@ -202,33 +221,44 @@ def _genie_solver(cfg: OfdmConfig, f_cfo_hz: float) -> ScaledLs:
     return ScaledLs(a)
 
 
-def _bounded(cfg: OfdmConfig, obs: ObservationVector, r_m, v_mps):
-    """(R, v) with v clamped to +-v_max and, if it moved, R re-solved."""
-    v = float(np.clip(v_mps, -cfg.v_max_mps, cfg.v_max_mps))
-    if v == v_mps:
-        return float(r_m), v
-    m_t = grid_constants(cfg).m_t_s
-    return float(0.5 * C_LIGHT * np.mean(
-        obs.f[:obs.n_delay] + (2.0 * v / C_LIGHT) * m_t)), v
+def _bounded(cfg: OfdmConfig, f_delay, r_m, v_mps):
+    """(R, v) with v clamped to +-v_max and, where it moved, R re-solved
+    from the delay rows f_delay [B, n_delay]."""
+    v = np.minimum(np.maximum(v_mps, -cfg.v_max_mps), cfg.v_max_mps)
+    r = (0.5 * C_LIGHT) * ((f_delay + (2.0 * v / C_LIGHT)[:, None]
+                            * grid_constants(cfg).m_t_s).sum(axis=-1) / f_delay.shape[-1])
+    return np.where(v == v_mps, r_m, r), v
 
 
 def bounded_fits(cfg: OfdmConfig, obs: ObservationVector, est0: Estimates,
-                 est1: Estimates, genie_cfo_hz: float | None,
+                 est1: Estimates, genie_cfo_hz,
                  cfo_floor_hz: float) -> tuple[Estimates, Estimates]:
     """The (est0, est1) copies the templates are built from; see the
     module docstring. genie_cfo_hz is the known offset, or None to
-    estimate it from the Doppler rows."""
-    r1, v1 = _bounded(cfg, obs, est1.r0_hat_m, est1.v_hat_mps)
-    r0, v0, f = r1, v1, genie_cfo_hz
-    if f is None:
-        resid = obs.f[obs.n_delay:] - v1 * grid_constants(cfg).v_coef
-        f = float(np.mean(resid) / (1.0 + 2.0 * v1 / C_LIGHT))
-        f = 0.0 if abs(f) < cfo_floor_hz else f
-    elif f != 0.0:
-        rhs = obs.f.copy()
-        rhs[obs.n_delay:] -= f
-        theta, _ = _genie_solver(cfg, float(f)).solve(rhs)
-        r0, v0 = _bounded(cfg, obs, theta[0], theta[1])
-    # "or 0.0": a zero offset of either sign becomes +0.0
-    return (replace(est0, r0_hat_m=r0, v_hat_mps=v0, f_cfo_hat_hz=float(f) or 0.0),
-            replace(est1, r0_hat_m=r1, v_hat_mps=v1))
+    estimate it from the Doppler rows.
+
+    Stacked observations f [B, n] take stacks of fits and B genie offsets,
+    NaN where the offset is to be estimated; the copies are then stacks,
+    each row bit for bit what it gets alone.
+    """
+    f_obs = obs.f.reshape(-1, obs.f.shape[-1])
+    f_delay = f_obs[:, :obs.n_delay]
+    r1, v1 = _bounded(cfg, f_delay, np.asarray(est1.r0_hat_m).reshape(-1),
+                      np.asarray(est1.v_hat_mps).reshape(-1))
+    f = ((f_obs[:, obs.n_delay:] - v1[:, None] * grid_constants(cfg).v_coef)
+         .sum(axis=-1) / obs.n_doppler) / (1.0 + 2.0 * v1 / C_LIGHT)
+    f = np.where(np.abs(f) < cfo_floor_hz, 0.0, f)
+    genie = np.full(f.shape, np.nan if genie_cfo_hz is None else genie_cfo_hz)
+    known = ~np.isnan(genie)
+    f = np.where(known, genie, f) + 0.0  # + 0.0: a zero of either sign is +0.0
+    r0, v0 = r1.copy(), v1.copy()
+    rows = (known & (genie != 0.0)).nonzero()[0].tolist()
+    if rows:  # re-solve the geometry with the known nonzero offset removed
+        rhs = f_obs[rows]
+        rhs[:, obs.n_delay:] -= f[rows, None]
+        theta = [_genie_solver(cfg, float(f[row])).theta(b) for row, b in zip(rows, rhs)]
+        r0[rows], v0[rows] = _bounded(cfg, f_delay[rows], *np.array(theta).T)
+    if obs.f.ndim == 1:
+        r0, v0, f, r1, v1 = (float(a[0]) for a in (r0, v0, f, r1, v1))
+    return (Estimates(r0, v0, f, est0.residual_norm, est0.hypothesis),
+            Estimates(r1, v1, est1.f_cfo_hat_hz, est1.residual_norm, est1.hypothesis))

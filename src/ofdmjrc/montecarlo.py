@@ -8,33 +8,37 @@ randomness derived from scenario.seed, so any worker schedule produces
 identical results.
 
 Batches: run_batch runs several trials through one pass. Each trial
-draws its frame, channel and noise from its own three RNG substreams,
-and fits, conditions and decides on its own. The FFTs, symbol removal,
-peak extraction, templates and statistics run once per batch on a
-leading trial axis, using only operations whose per-trial bits do not
-depend on the rest of the batch, so every record is bit for bit what
-its scenario gets alone; run_trial is a batch of one. A trial that
-fails is recorded invalid with the message it gets alone, and the
-others in its batch are unaffected: an error in a trial's own steps
-stays with that trial, and if a whole-batch stage raises, every trial
-of the batch reruns as a batch of one. roc_sweep cuts its trial list
-by position into near-equal batches (see _run_many), so the batches do
-not depend on the worker count either.
+draws its frame, channel gain and noise from its own three RNG
+substreams and is fitted on its own; everything else runs once per
+batch on a leading trial axis: synthesis, noise, FFTs, symbol removal,
+peak extraction, conditioning, templates and statistics. Only
+operations whose per-trial bits do not depend on the rest of the batch
+are used, so every record is bit for bit what its scenario gets alone;
+run_trial is a batch of one. A trial that fails is recorded invalid
+with the message it gets alone, and the others in its batch are
+unaffected: an error in a trial's own steps stays with that trial, and
+if a whole-batch stage after the noise raises, every trial of the batch
+reruns as a batch of one. roc_sweep cuts its trial list by position
+into near-equal batches (see _run_many), so the batches do not depend
+on the worker count either.
 
-Estimation modes: a batch can be scored under several genie flags. The
-front halves, FFTs, symbol removal, peaks and fits then run once; the
-conditioning, templates, statistics and decisions run per flag, and each
-flag's records are bit for bit what that flag gets alone. roc_sweep
-scores every trial under all its flags in one pass and one worker pool.
+Estimation modes: a batch can be scored under several genie flags. All
+but the conditioning, statistics and decisions then run once; those run
+over every (flag, trial) pair, and each flag's records are bit for bit
+what that flag gets alone. roc_sweep scores every trial under all its
+flags in one pass and one worker pool.
 
 Template conditioning: the raw fits are kept verbatim in the record,
 but the templates are built from the bounded copies that
-estimator.bounded_fits makes of them.
+estimator.bounded_fits makes of them. A pair whose bounded h0 geometry
+is the h1 one with a zero offset has identical templates, so its
+statistic is exactly 0.0 and is set without building them.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,17 +162,41 @@ def batch_size(cfg: OfdmConfig) -> int:
     return max(1, _BATCH_VALUES // (cfg.k_active * cfg.m_symbols))
 
 
-def _front_half(cfg: OfdmConfig, scenario: Scenario):
-    """Frame and noisy sample grid of one trial, from its own three RNG
-    substreams of scenario.seed."""
-    frame_ss, gain_ss, noise_ss = np.random.SeedSequence(scenario.seed).spawn(3)
-    frame = generate_frame(cfg, np.random.default_rng(frame_ss))
-    big_g = path_loss_gain(wavelength_m(cfg.f_c_hz),
-                           scenario.sigma_rcs_m2, scenario.r0_m)
-    gain = draw_channel_gain(big_g, scenario, cfg,
-                             np.random.default_rng(gain_ss))
-    grid = synth_target(cfg, scenario, frame, gain)
-    return frame, add_awgn(grid, scenario.snr_db, np.random.default_rng(noise_ss))
+def _front_half(cfg: OfdmConfig, scenarios):
+    """(rows, frames, noisy, errors) of the trials in scenarios: each trial
+    draws its frame, gain and noise from its own three RNG substreams of
+    scenario.seed, and then the batch is synthesized and its noise added
+    in one call each. rows lists the trials that got through, whose
+    frames and grids are stacked in that order; errors maps each other
+    trial to the error its own steps raised."""
+    errors, draws = {}, []
+    for row, sc in enumerate(scenarios):
+        frame_ss, gain_ss, noise_ss = np.random.SeedSequence(sc.seed).spawn(3)
+        try:
+            frame = generate_frame(cfg, np.random.default_rng(frame_ss))
+            big_g = path_loss_gain(wavelength_m(cfg.f_c_hz), sc.sigma_rcs_m2, sc.r0_m)
+            draws.append((row, frame.x, draw_channel_gain(
+                big_g, sc, cfg, np.random.default_rng(gain_ss)), noise_ss))
+        except OfdmJrcError as exc:
+            errors[row] = exc
+    rows, xs, gains, noise_ss = zip(*draws) if draws else ((), (), (), ())
+    frames = FrameSymbols(x=np.reshape(xs, (len(rows), cfg.k_active, cfg.m_symbols)))
+    lost = {}
+    noisy = add_awgn(synth_target(cfg, [scenarios[r] for r in rows], frames, gains),
+                     [scenarios[r].snr_db for r in rows], noise_ss, errors=lost)
+    if lost:
+        errors.update({rows[i]: exc for i, exc in lost.items()})
+        kept = [i for i in range(len(rows)) if i not in lost]
+        rows, frames = [rows[i] for i in kept], FrameSymbols(x=frames.x[kept])
+        noisy = SampleGrid(y=noisy.y[kept], sigma2=noisy.sigma2[kept])
+    return list(rows), frames, noisy, errors
+
+
+def _first(frames: FrameSymbols, noisy: SampleGrid, fg: FreqGrid):
+    """The first trial's (frame, noisy, fg) of stacked ones."""
+    return (FrameSymbols(x=frames.x[0]),
+            SampleGrid(y=noisy.y[0], sigma2=noisy.sigma2[0]),
+            FreqGrid(y_tilde=fg.y_tilde[0]))
 
 
 def trial_grids(cfg: OfdmConfig, scenario: Scenario):
@@ -177,46 +205,56 @@ def trial_grids(cfg: OfdmConfig, scenario: Scenario):
     The grids run_batch scores for this scenario, bit for bit, without
     scoring them; the rdmap export uses it.
     """
-    frame, noisy = _front_half(cfg, scenario)
-    return frame, noisy, remove_known_symbols(fast_time_dft(noisy, cfg), frame)
+    _, frames, noisy, errors = _front_half(cfg, [scenario])
+    if errors:
+        raise errors[0]
+    return _first(frames, noisy, remove_known_symbols(fast_time_dft(noisy, cfg), frames))
 
 
 def _score(cfg, fg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
     """Per flag in flags, (est0, est1, t_stat, outcome) for each trial
-    stacked in fg, or the error its own fits, conditioning or decision
-    raised. The peaks and fits run once, the templates and statistics
-    once per flag, each for the whole stack."""
+    stacked in fg, or the error its own fits or decision raised. The peaks
+    run once for the stack and the fits once per trial; the conditioning
+    runs once over every (flag, trial) pair, and the templates and
+    statistics once over those whose statistic is not exactly zero."""
     peaks = extract_peak_observations(fg, cfg)
     dm = build_design_matrices(cfg)
-    fits = []  # per trial: (obs, est0, est1), or the error of its fits
+    fits, fitted = [], []  # per trial (est0, est1) or its error; rows fitted
     for row in range(len(scenarios)):
         try:
             obs = ObservationVector.from_peaks(PeakObservations(
                 delay_obs_s=peaks.delay_obs_s[row],
                 dopp_obs_hz=peaks.dopp_obs_hz[row]))
-            fits.append((obs, estimate_h0(obs, dm), estimate_h1(obs, dm)))
+            fits.append((estimate_h0(obs, dm), estimate_h1(obs, dm)))
+            fitted.append(row)
         except OfdmJrcError as exc:
             fits.append(exc)
-    z, per_flag = fg.vectorized(), []
-    for genie in flags:
-        out, kept = list(fits), []  # kept: (row, est0_t, est1_t)
-        for row, (scenario, fit) in enumerate(zip(scenarios, fits)):
-            if not isinstance(fit, Exception):
-                try:
-                    kept.append((row, *bounded_fits(
-                        cfg, *fit, scenario.f_cfo_hz if genie else None,
-                        cfo_floor_hz)))
-                except OfdmJrcError as exc:
-                    out[row] = exc
-        if kept:
-            rows, est0_ts, est1_ts = zip(*kept)
-            tp = synth_templates(cfg, est0_ts, est1_ts)
-            t_stats = glrt_statistic(z[list(rows)], tp, mode)
-            for row, t in zip(rows, t_stats.tolist()):
-                try:
-                    out[row] = (*fits[row][1:], t, decide(t, gamma_prime, mode))
-                except OfdmJrcError as exc:
-                    out[row] = exc
+    # pair p = f * n + i is trial fitted[i] under flags[f]; NaN: estimate
+    n = len(fitted)
+    obs = ObservationVector(f=np.concatenate([np.concatenate(
+        [peaks.delay_obs_s, peaks.dopp_obs_hz], axis=-1)[fitted]] * len(flags)),
+        n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    raw = [Estimates.stack([fits[r][i] for _ in flags for r in fitted], hyp)
+           for i, hyp in enumerate(("h0", "h1"))]
+    cfo = [scenarios[r].f_cfo_hz if genie else np.nan for genie in flags for r in fitted]
+    b0, b1 = bounded_fits(cfg, obs, *raw, cfo, cfo_floor_hz)
+    # equal geometry and a zero offset: identical templates, T exactly 0
+    zero = ((b0.f_cfo_hat_hz == 0.0) & (b0.r0_hat_m == b1.r0_hat_m)
+            & (b0.v_hat_mps == b1.v_hat_mps))
+    todo = (~zero).nonzero()[0]
+    t_stats = np.zeros(zero.size)
+    t_stats[todo] = glrt_statistic(fg.vectorized()[[fitted[p % n] for p in todo]],
+                                   synth_templates(cfg, b0.take(todo), b1.take(todo)),
+                                   mode)
+    per_flag = []
+    for f in range(len(flags)):
+        out = list(fits)
+        for p, row in enumerate(fitted, start=f * n):
+            t = float(t_stats[p])
+            try:
+                out[row] = (*fits[row], t, decide(t, gamma_prime, mode))
+            except OfdmJrcError as exc:
+                out[row] = exc
         per_flag.append(out)
     return per_flag
 
@@ -235,47 +273,38 @@ def _check_detector(mode: str, cfo_floor_hz: float, gamma_prime: float) -> None:
     offset to zero, a NaN threshold fails every decision; +-inf are legal."""
     check_mode(mode)
     for name, value in (("cfo_floor_hz", cfo_floor_hz), ("gamma_prime", gamma_prime)):
-        if np.isnan(value):
+        if math.isnan(value):
             raise ConfigurationError(f"{name} must not be NaN")
 
 
 def _run_batch(cfg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
-    """run_batch's records under each flag in flags, plus each live
-    trial's (frame, noisy) and the live trials' stacked symbol-removed
-    grid (None if it was not made).
+    """run_batch's records under each flag in flags, plus the stacked
+    (frames, noisy, fg) of the trials whose front half got through (fg
+    None if it was not made).
 
-    A trial is live once its front half has run. When a whole-batch
-    stage raises, a lone live trial under a lone flag takes the error;
-    otherwise every trial reruns as a batch of one under each flag.
+    When a whole-batch stage after the front half raises, a lone trial
+    under a lone flag takes the error; otherwise every trial reruns as a
+    batch of one under each flag.
     """
     _check_detector(mode, cfo_floor_hz, gamma_prime)
-    results, fronts = [], []
-    for scenario in scenarios:
-        try:
-            fronts.append(_front_half(cfg, scenario))
-            results.append(None)
-        except OfdmJrcError as exc:
-            results.append(exc)
-    live = [i for i, r in enumerate(results) if r is None]
+    live, frames, noisy, errors = _front_half(cfg, scenarios)
     fg, scored = None, [[] for _ in flags]
     try:
         if live:
-            noisy = SampleGrid(y=np.stack([grid.y for _, grid in fronts]))
-            frames = FrameSymbols(x=np.stack([frame.x for frame, _ in fronts]))
             fg = remove_known_symbols(fast_time_dft(noisy, cfg), frames)
             scored = _score(cfg, fg, [scenarios[i] for i in live], flags, mode,
                             cfo_floor_hz, gamma_prime)
     except OfdmJrcError as exc:
         if len(live) > 1 or len(flags) > 1:
             return [[run_trial(cfg, sc, genie, mode, cfo_floor_hz, gamma_prime)
-                     for sc in scenarios] for genie in flags], fronts, None
+                     for sc in scenarios] for genie in flags], (frames, noisy, None)
         scored = [[exc]]
     records = []
     for genie, out in zip(flags, scored):
-        by_trial = dict(zip(live, out))
-        records.append([_record(sc, genie, by_trial.get(i, results[i]))
+        by_trial = {**errors, **dict(zip(live, out))}
+        records.append([_record(sc, genie, by_trial[i])
                         for i, sc in enumerate(scenarios)])
-    return records, fronts, fg
+    return records, (frames, noisy, fg)
 
 
 def run_batch(cfg: OfdmConfig, scenarios, genie: bool = False,
@@ -307,11 +336,9 @@ def run_trial_with_grids(cfg: OfdmConfig, scenario: Scenario,
                          gamma_prime: float = 0.0):
     """run_trial's record and the (frame, noisy, fg) it scored, from one
     pass; the grids are None when the trial failed before fg existed."""
-    records, fronts, fg = _run_batch(cfg, [scenario], (genie,), mode,
-                                     cfo_floor_hz, gamma_prime)
-    if fg is None:
-        return records[0][0], None
-    return records[0][0], (*fronts[0], FreqGrid(y_tilde=fg.y_tilde[0]))
+    records, (frames, noisy, fg) = _run_batch(cfg, [scenario], (genie,), mode,
+                                              cfo_floor_hz, gamma_prime)
+    return records[0][0], None if fg is None else _first(frames, noisy, fg)
 
 
 _WORKER_RUN = None  # cfg and _run_batch's trailing arguments, set per pool worker

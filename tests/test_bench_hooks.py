@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import itertools
 import re
 from pathlib import Path
 
@@ -79,19 +80,29 @@ def test_run_trial_calls_each_stage_once_by_its_module_name(cfg, monkeypatch,
 
     for name in STAGES:
         monkeypatch.setattr(mc, name, counted(name, getattr(mc, name)))
-    sc = Scenario(kind=TargetKind.FALSE_TARGET, snr_db=9.0, seed=11)
-    rec = run_trial(cfg, sc, genie)
-    assert rec.valid, rec.error
-    assert calls == {name: 1 for name in STAGES}
-    # the record carries the very estimates the traced fits returned
-    assert rec.est0 is results["estimate_h0"]
-    assert rec.est1 is results["estimate_h1"]
-    for est in (rec.est0, rec.est1):
-        assert type(est.r0_hat_m) is float
-        assert type(est.v_hat_mps) is float
-        assert type(est.residual_norm) is float
-    assert type(rec.est0.f_cfo_hat_hz) is float
-    assert type(rec.t_stat) is float
+    # perfbench traces both truths at -5 and 9 dB; a genie real target
+    # scores an exactly zero statistic with no template row
+    for kind, snr_db in itertools.product(TargetKind, (-5.0, 9.0)):
+        calls.update(dict.fromkeys(STAGES, 0))
+        sc = Scenario(kind=kind, snr_db=snr_db, seed=11,
+                      f_cfo_hz=10e3 if kind is TargetKind.FALSE_TARGET else 0.0)
+        rec = run_trial(cfg, sc, genie)
+        assert rec.valid, rec.error
+        assert calls == {name: 1 for name in STAGES}
+        # the record carries the very estimates the traced fits returned
+        assert rec.est0 is results["estimate_h0"]
+        assert rec.est1 is results["estimate_h1"]
+        for est in (rec.est0, rec.est1):
+            assert type(est.r0_hat_m) is float
+            assert type(est.v_hat_mps) is float
+            assert type(est.residual_norm) is float
+        assert type(rec.est0.f_cfo_hat_hz) is float
+        assert type(rec.t_stat) is float
+        rows = results["synth_templates"].u0.shape[0]
+        assert rows == (rec.t_stat != 0.0)
+        assert results["glrt_statistic"].shape == (rows,)
+        if genie and kind is TargetKind.REAL_TARGET:
+            assert rows == 0
 
 
 def test_cli_binds_every_name_the_export_trace_wraps():

@@ -197,6 +197,40 @@ def test_noiseless_echo_energy_matches_gain(cfg):
     assert energy == pytest.approx(abs(h) ** 2 * cfg.k_active * cfg.m_symbols, rel=1e-9)
 
 
+def test_stacked_synthesis_and_noise_are_each_trial_alone(cfg):
+    scs = [_false_scenario(seed=1), _real_scenario(r0_m=40.0, v_mps=-20.0),
+           _false_scenario(f_cfo_hz=-3e3, snr_db=np.inf),
+           _real_scenario(snr_db=4000.0)]
+    frames = [generate_frame(cfg, seed=i) for i in range(len(scs))]
+    gains = [draw_channel_gain(1e-6, sc, cfg, seed=i) for i, sc in enumerate(scs)]
+    alone = [synth_target(cfg, *a) for a in zip(scs, frames, gains)]
+    stacked = synth_target(cfg, scs, replace(frames[0], x=np.stack(
+        [f.x for f in frames])), gains)
+    assert stacked.y.shape == (len(scs), cfg.m_symbols, cfg.n_fft)
+    assert all(np.array_equal(s, a.y) for s, a in zip(stacked.y, alone))
+    errors = {}
+    noisy = add_awgn(stacked, [sc.snr_db for sc in scs], [5, 6, 7, 8],
+                     errors=errors)
+    for row in range(3):
+        single = add_awgn(alone[row], scs[row].snr_db, 5 + row)
+        assert np.array_equal(noisy.y[row], single.y)
+        assert noisy.sigma2[row] == single.sigma2
+    with pytest.raises(CalibrationError) as calib:
+        add_awgn(alone[3], 4000.0, 8)
+    assert list(errors) == [3] and str(errors[3]) == str(calib.value)
+    assert np.isnan(noisy.sigma2[3]) and np.array_equal(noisy.y[3], alone[3].y)
+    with pytest.raises(CalibrationError):  # no dict: the stack raises
+        add_awgn(stacked, [sc.snr_db for sc in scs], [5, 6, 7, 8])
+
+
+def test_stacked_synthesis_and_noise_accept_zero_trials(cfg):
+    none = synth_target(cfg, [], replace(generate_frame(cfg, seed=1), x=np.zeros(
+        (0, cfg.k_active, cfg.m_symbols))), [])
+    assert none.y.shape == (0, cfg.m_symbols, cfg.n_fft)
+    noisy = add_awgn(none, [], [], errors={})
+    assert noisy.y.shape == none.y.shape and noisy.sigma2.shape == (0,)
+
+
 def test_add_awgn_infinite_snr_is_identity(cfg):
     frame = generate_frame(cfg, seed=1)
     grid = idft_modulate(frame, cfg)

@@ -208,3 +208,29 @@ def test_glrt_statistic_validates_inputs(cfg):
         glrt_statistic(z, tp, "maximum_vibes")
     with pytest.raises(PipelineError):
         glrt_statistic(z[:-1], tp, MODE_AMPLITUDE)
+
+
+@pytest.mark.parametrize("numerology", ["default", "large"])
+def test_stacked_templates_and_statistics_are_each_trial_alone(numerology):
+    cfg = build_config(**({} if numerology == "default" else _LARGE))
+    params = [(100.0, 10.0, 10e3), (80.0, -15.0, 0.0), (250.0, 99.0, -4e3)]
+    est0s = [_est(r, v, f, "h0") for r, v, f in params]
+    est1s = [_est(r + 1.0, v / 2, None, "h1") for r, v, _ in params]
+    tp = synth_templates(cfg, Estimates.stack(est0s, "h0"),
+                         Estimates.stack(est1s, "h1"))
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal(tp.u0.shape) + 1j * rng.standard_normal(tp.u0.shape)
+    t = glrt_statistic(z, tp, MODE_AMPLITUDE)
+    for row, (e0, e1) in enumerate(zip(est0s, est1s)):
+        single = synth_templates(cfg, e0, e1)
+        assert np.array_equal(tp.u0[row], single.u0)
+        assert np.array_equal(tp.u1[row], single.u1)
+        assert t[row] == glrt_statistic(z[row], single, MODE_AMPLITUDE)
+
+
+def test_templates_and_statistics_accept_zero_rows(cfg):
+    tp = synth_templates(cfg, Estimates.stack([], "h0"), Estimates.stack([], "h1"))
+    n = cfg.k_active * cfg.m_symbols
+    assert tp.u0.shape == tp.u1.shape == (0, n)
+    for mode in (MODE_AMPLITUDE, MODE_REAL_PART):
+        assert glrt_statistic(np.zeros((0, n), np.complex128), tp, mode).shape == (0,)

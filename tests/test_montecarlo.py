@@ -362,26 +362,104 @@ def test_a_failed_trial_stays_alone_under_both_flags(numerology, workers):
 def test_a_whole_batch_failure_reruns_each_trial_alone_per_flag(cfg,
                                                                 monkeypatch):
     scenarios = _mixed_scenarios(5, master_seed=13)
-    alone = [[_bits(run_trial(cfg, sc, g)) for sc in scenarios]
-             for g in (False, True)]
+    alone = [[run_trial(cfg, sc, g) for sc in scenarios] for g in (False, True)]
     templates = mc.synth_templates
     stacks = []
 
     def genie_stack_fails(c, est0s, est1s):
         # only genie templates carry the true 10 kHz offset
-        genie = any(e.f_cfo_hat_hz == _FALSE.f_cfo_hz for e in est0s)
-        stacks.append((genie, len(est0s)))
-        if genie and len(est0s) > 1:
+        genie = bool(np.any(est0s.f_cfo_hat_hz == _FALSE.f_cfo_hz))
+        rows = np.size(est0s.r0_hat_m)
+        stacks.append((genie, rows))
+        if genie and rows > 1:
             raise NoPeakError("stack refused")
         return templates(c, est0s, est1s)
 
     monkeypatch.setattr(mc, "synth_templates", genie_stack_fails)
     recs = mc._run_batch(cfg, scenarios, (False, True), MODE_AMPLITUDE,
                          mc.DEFAULT_CFO_FLOOR_HZ, 0.0)[0]
+    assert [[_bits(r) for r in flag] for flag in recs] == [
+        [_bits(r) for r in flag] for flag in alone]
+    # one stack for both flags, refused; then each trial alone per flag,
+    # with no template row where its statistic is exactly zero
+    rows = [[int(r.t_stat != 0.0) for r in flag] for flag in alone]
+    assert stacks == [(True, sum(rows[0]) + sum(rows[1]))] + [
+        (False, n) for n in rows[0]] + [
+        (sc.kind is TargetKind.FALSE_TARGET, n)
+        for sc, n in zip(scenarios, rows[1])]
+    assert rows[1] == [int(sc.kind is TargetKind.FALSE_TARGET) for sc in scenarios]
+
+
+@pytest.mark.parametrize("numerology", ["default", "large"])
+def test_a_batch_mixing_front_half_failures_runs_each_trial_once(numerology,
+                                                                 monkeypatch):
+    cfg = build_config(**({} if numerology == "default" else _LARGE))
+    good = _mixed_scenarios(6, master_seed=23)
+    batch = [good[0], replace(_FALSE, r0_m=1e-80), good[1],
+             replace(_REAL, snr_db=np.inf), good[2],
+             replace(_FALSE, snr_db=4000.0), good[3], good[4],
+             replace(_REAL, r0_m=1e-80, snr_db=4000.0), good[5]]
+    flags = (False, True)
+    alone = [[_bits(run_trial(cfg, sc, g)) for sc in batch] for g in flags]
+    frames = []
+    draw = mc.generate_frame
+
+    def counted(*args):
+        frames.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(mc, "generate_frame", counted)
+    recs = mc._run_batch(cfg, batch, flags, MODE_AMPLITUDE,
+                         mc.DEFAULT_CFO_FLOOR_HZ, 0.0)[0]
+    assert len(frames) == len(batch)  # no trial reran
     assert [[_bits(r) for r in flag] for flag in recs] == alone
-    # one stack per flag, the genie one refused; then each trial alone
-    assert stacks == [(False, 5), (True, 5)] + [(False, 1)] * 5 + [
-        (sc.kind is TargetKind.FALSE_TARGET, 1) for sc in scenarios]
+    errors = [r.error for r in recs[0]]
+    assert [e is None for e in errors] == [
+        True, False, True, True, True, False, True, True, False, True]
+    assert errors[1].endswith("path loss gain is inf")
+    assert errors[5].startswith("snr_db=4000.0 gives noise variance")
+    assert errors[8] == errors[1]
+
+
+def test_a_genie_solver_failure_stays_with_its_flag_and_trial(cfg, monkeypatch):
+    import ofdmjrc.estimator
+
+    solver = ofdmjrc.estimator._genie_solver
+
+    def refuse(c, f_cfo_hz):
+        if f_cfo_hz == 20e3:
+            raise IllConditionedError("refused", condition=np.inf)
+        return solver(c, f_cfo_hz)
+
+    monkeypatch.setattr(ofdmjrc.estimator, "_genie_solver", refuse)
+    scenarios = _mixed_scenarios(6, master_seed=31)
+    scenarios[2] = replace(scenarios[2], f_cfo_hz=20e3)
+    flags = (False, True)
+    recs = mc._run_batch(cfg, scenarios, flags, MODE_AMPLITUDE,
+                         mc.DEFAULT_CFO_FLOOR_HZ, 0.0)[0]
+    assert [[r.error for r in flag] for flag in recs] == [
+        [None] * 6, [None, None, "refused", None, None, None]]
+    assert [[_bits(r) for r in flag] for flag in recs] == [
+        [_bits(run_trial(cfg, sc, g)) for sc in scenarios] for g in flags]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("genie", [False, True])
+def test_a_huge_finite_path_gain_gives_the_estimates_of_a_normal_one(cfg,
+                                                                     genie):
+    # The pipeline is invariant to the gain's scale until the noise
+    # calibration overflows (1e-78 m) or the gain itself does (1e-79 m).
+    base = run_trial(cfg, replace(_FALSE, r0_m=1e-70), genie)
+    for k in range(21):  # 1e-70 ... 1e-80, per half decade
+        r0_m = 1e-70 * 10.0 ** (-0.5 * k)
+        rec = run_trial(cfg, replace(_FALSE, r0_m=r0_m), genie)
+        assert rec.valid == (k < 16), (r0_m, rec.error)
+        if rec.valid:
+            assert rec.outcome.decision is base.outcome.decision
+            assert rec.est1.r0_hat_m == pytest.approx(base.est1.r0_hat_m,
+                                                      rel=1e-9)
+        else:
+            assert rec.error.startswith(("snr_db=9.0 gives", "range ")), rec.error
 
 
 def test_both_modes_run_each_front_half_and_peak_search_once(tmp_path,
