@@ -18,7 +18,7 @@ _NEWTON_MAX_STEPS = 8
 
 def tone_powers(z, top):
     """z^1 .. z^top along a new last axis, by one cumulative product."""
-    powers = np.asarray(z, dtype=np.complex128)[..., None].repeat(top, axis=-1)
+    powers = np.full((*np.shape(z), top), np.asarray(z)[..., None], np.complex128)
     return powers.cumprod(axis=-1, out=powers)
 
 
@@ -46,8 +46,7 @@ def refine_tones(rows, powers, step, sign, x0, half, rel_tol):
     lo, hi = x0 - half, x0 + half
     width = 2.0 * half
     # S' and S'' weight the terms of S by j*w and by -w^2
-    weights = np.empty((top, 3), dtype=np.complex128)
-    weights[:, 0], weights[:, 1], weights[:, 2] = 1.0, 1j * w, -(w * w)
+    weights = np.stack([np.ones_like(w), 1j * w, -(w * w)], axis=-1)  # [top, 3]
     dense = np.zeros((top, x0.size), dtype=np.complex128)
     dense[q] = np.asarray(rows).T
     dense = dense.T  # [B, top], cut to the live rows as rows stop
@@ -68,11 +67,11 @@ def refine_tones(rows, powers, step, sign, x0, half, rel_tol):
         # P' and P'' without their common factor 2
         grad = (sc * s1).real
         curv = (s1 * s1.conj()).real + (sc * s2).real
-        concave, wl = curv < 0.0, width[live]
+        concave = curv < 0.0
         dx = np.where(concave, grad / np.where(concave, -curv, 1.0),
-                      np.sign(grad) * wl)
+                      np.sign(grad) * width[live])
         x_new = np.minimum(np.maximum(xl + dx, lo[live]), hi[live])
-        moving = np.abs(x_new - xl) > rel_tol * wl
+        moving = np.abs(x_new - xl) > rel_tol * width[live]
         live = live[moving]
         if live.size == 0:
             break

@@ -100,7 +100,7 @@ def path_loss_gain(lambda_m: float, sigma_rcs_m2: float, r0_m: float) -> float:
             f"got {lambda_m} and {sigma_rcs_m2}"
         )
     try:
-        r4 = r0_m**4
+        r4 = float(r0_m) ** 4  # a numpy range would overflow with a warning
     except OverflowError:
         return 0.0
     denom = 64.0 * np.pi**3 * r4
@@ -151,8 +151,8 @@ def synth_target(cfg: OfdmConfig, scenario, frame: FrameSymbols, gain) -> Sample
     Each subcarrier keeps its own Doppler: the fast-time phase slope of
     subcarrier k advances by (2v/c)*m*t_sym per symbol in addition to the
     common slow-time rotation at (f_c+f_cfo)*(2v/c) + f_cfo, where f_cfo
-    is 0 for a real target. A stacked frame [B, k, m] takes B scenarios
-    and B gains and gives B grids [B, m, n], each bit for bit its own.
+    is 0 for a real target. A frame stack [B, k, m], B scenarios and B
+    gains give B grids [B, m, n], each bit for bit its own.
     """
     stacked = frame.x.ndim > 2
     scs, gains = (scenario, gain) if stacked else ([scenario], [gain])
@@ -163,58 +163,38 @@ def synth_target(cfg: OfdmConfig, scenario, frame: FrameSymbols, gain) -> Sample
     phasors = grid_phasors(cfg, tau, v, f_cfo)
     buf = np.zeros((len(scs), cfg.m_symbols, cfg.n_fft), dtype=np.complex128)
     buf[..., grid_constants(cfg).k_idx % cfg.n_fft] = frame.x.swapaxes(-1, -2) * phasors
-    scale = np.sqrt(cfg.n_fft)
-    h = np.array([g.h_eff / scale for g in gains], dtype=np.complex128)
+    h = np.array([g.h_eff / np.sqrt(cfg.n_fft) for g in gains], dtype=np.complex128)
     y = np.fft.ifft(buf, axis=-1, norm="forward") * h.reshape(-1, 1, 1)
     return SampleGrid(y=y if stacked else y[0])
 
 
-def _noise_variance(y: np.ndarray, snr_db: float) -> float:
-    if snr_db == math.inf:
-        return 0.0
-    with np.errstate(over="ignore"):  # an overflow is an infinite power
-        p_sig = float((np.abs(y) ** 2).sum() / y.size)
-    if p_sig <= 0.0:
-        raise CalibrationError("cannot calibrate noise on an all-zero grid at finite SNR")
-    try:
-        sigma2 = p_sig / (10.0 ** (snr_db / 10.0))
-    except (OverflowError, ZeroDivisionError):
-        sigma2 = math.nan
-    if not 0.0 < sigma2 < math.inf:
-        raise CalibrationError(f"snr_db={snr_db} gives noise variance {sigma2}")
-    return sigma2
-
-
-def add_awgn(grid: SampleGrid, snr_db, seed, *, errors=None) -> SampleGrid:
+def add_awgn(grid: SampleGrid, snr_db: float, seed) -> SampleGrid:
     """Add complex white noise calibrated against the grid's own mean power.
 
     The per-sample noise variance is mean(|y|^2) / 10^(snr_db/10), so the
     stated SNR is the post-channel SNR regardless of path loss or the
     drawn gain magnitude. snr_db=+inf returns the grid unchanged with
     sigma2=0; CalibrationError if sigma2 is not positive and finite.
-
-    Stacked grids [B, m, n] take B SNRs and B seeds, and each grid is
-    calibrated and drawn on its own; sigma2 is then [B]. Given a dict
-    errors, a grid that cannot be calibrated stays noiseless with NaN
-    sigma2 and its error goes to errors[row] instead of being raised.
     """
-    stacked = grid.y.ndim > 2
-    ys = grid.y if stacked else grid.y[None]
-    snrs, seeds = (snr_db, seed) if stacked else ([snr_db], [seed])
-    out, sigma2 = ys.copy(), np.zeros(len(ys))
-    for row, (y, snr, s) in enumerate(zip(ys, snrs, seeds)):
-        try:
-            sigma2[row] = _noise_variance(y, snr)
-        except CalibrationError as exc:
-            if errors is None:
-                raise
-            errors[row], sigma2[row] = exc, math.nan
-        if sigma2[row] > 0.0:
-            rng = np.random.default_rng(s)
-            noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-            noise *= np.sqrt(sigma2[row] / 2.0)
-            out[row] += noise
-    return SampleGrid(y=out, sigma2=sigma2) if stacked else SampleGrid(out[0], sigma2[0])
+    y = grid.y
+    if np.isposinf(snr_db):
+        return SampleGrid(y=y.copy(), sigma2=0.0)
+    with np.errstate(over="ignore"):  # an overflow is an infinite power
+        p_sig = float(np.mean(np.abs(y) ** 2))
+    if p_sig <= 0.0:
+        raise CalibrationError(
+            "cannot calibrate noise on an all-zero grid at finite SNR"
+        )
+    try:
+        sigma2 = p_sig / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not 0.0 < sigma2 < math.inf:
+        raise CalibrationError(f"snr_db={snr_db} gives noise variance {sigma2}")
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+    noise *= np.sqrt(sigma2 / 2.0)
+    return SampleGrid(y=y + noise, sigma2=sigma2)
 
 
 def write_grid_csv(path, grid: SampleGrid) -> None:

@@ -70,10 +70,8 @@ def _templates(cfg: OfdmConfig, r0_m, v_mps, f_cfo_hz) -> np.ndarray:
     """
     r0_m, v_mps, f_cfo_hz = (np.asarray(a, dtype=np.float64)[:, None]
                              for a in (r0_m, v_mps, f_cfo_hz))
-    u = grid_phasors(cfg, 2.0 * r0_m / C_LIGHT, v_mps, f_cfo_hz).reshape(
-        len(r0_m), cfg.m_symbols * cfg.k_active)
-    # np.linalg.norm(u, axis=-1, keepdims=True), without its checks
-    return u / np.sqrt(np.add.reduce((u.conj() * u).real, axis=-1, keepdims=True))
+    u = grid_phasors(cfg, 2.0 * r0_m / C_LIGHT, v_mps, f_cfo_hz).reshape(len(r0_m), -1)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
 
 def synth_templates(cfg: OfdmConfig, est0: Estimates, est1: Estimates) -> TemplatePair:
@@ -90,6 +88,8 @@ def synth_templates(cfg: OfdmConfig, est0: Estimates, est1: Estimates) -> Templa
             "false-target estimates must carry an offset estimate"
         )
     n = np.size(est1.r0_hat_m)
+    if n == 0:  # nothing to build: skip the phasor, norm and stacking work
+        return TemplatePair(*[np.empty((0, cfg.m_symbols * cfg.k_active), np.complex128)] * 2)
     params = np.array([(est1.r0_hat_m, est1.v_hat_mps, np.zeros_like(est0.f_cfo_hat_hz)),
                        (est0.r0_hat_m, est0.v_hat_mps, est0.f_cfo_hat_hz)], dtype=np.float64)
     u = _templates(cfg, *params.reshape(2, 3, -1).swapaxes(0, 1).reshape(3, -1))
@@ -119,6 +119,8 @@ def glrt_statistic(z: np.ndarray, tp: TemplatePair,
             f"vectorized grid shape {z.shape} does not match templates "
             f"{tp.u0.shape}, {tp.u1.shape}"
         )
+    if z.size == 0:
+        return np.zeros(0)
     c0 = (tp.u0.conj() * z).sum(axis=-1)
     c1 = (tp.u1.conj() * z).sum(axis=-1)
     if mode == MODE_AMPLITUDE:

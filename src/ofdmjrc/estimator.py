@@ -35,7 +35,6 @@ the zero-offset adversary is indistinguishable by construction.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +64,7 @@ class ObservationVector:
                 f"got {d.size} and {p.size}"
             )
         f = np.concatenate([d, p])
-        if not np.isfinite(f).all():
+        if not np.all(np.isfinite(f)):
             raise EstimationSetupError("observations must be finite")
         return cls(f=f, n_delay=int(d.size), n_doppler=int(p.size))
 
@@ -89,21 +88,17 @@ class ScaledLs:
         self.cond = float(np.linalg.cond(a_s))
         self.pinv = np.linalg.pinv(a_s)
 
-    def theta(self, f: np.ndarray) -> np.ndarray:
-        """The fitted parameters for observations f."""
+    def solve(self, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """(theta, residual 2-norm) for observations f."""
         if not np.isfinite(self.cond) or self.cond > COND_LIMIT:
             raise IllConditionedError(
                 f"scaled design condition number {self.cond:.3e} exceeds "
                 f"{COND_LIMIT:.0e}",
                 condition=self.cond,
             )
-        return (self.pinv @ f) / self.scale
-
-    def solve(self, f: np.ndarray) -> tuple[np.ndarray, float]:
-        """(theta, residual 2-norm) for observations f."""
-        theta = self.theta(f)
+        theta = (self.pinv @ f) / self.scale
         resid = f - self.a @ theta
-        return theta, math.sqrt(resid.dot(resid))  # np.linalg.norm(resid)
+        return theta, float(np.linalg.norm(resid))
 
 
 @dataclass(frozen=True)
@@ -160,8 +155,7 @@ class Estimates:
     """One least-squares fit: parameters plus its residual 2-norm.
 
     f_cfo_hat_hz is None for the real-target fit, where the offset is
-    pinned to zero by hypothesis. A stack of fits, one per trial, holds
-    [B] arrays in place of the floats.
+    pinned to zero by hypothesis. A stack of B fits holds [B] arrays.
     """
 
     r0_hat_m: float
@@ -173,10 +167,9 @@ class Estimates:
     @classmethod
     def stack(cls, fits, hypothesis: str) -> "Estimates":
         """Single fits of one hypothesis as one stack."""
-        h0 = hypothesis == "h0"
-        r, v, f, res = np.array([(e.r0_hat_m, e.v_hat_mps, e.f_cfo_hat_hz if h0 else 0.0,
-                                  e.residual_norm) for e in fits]).reshape(-1, 4).T
-        return cls(r, v, f if h0 else None, res, hypothesis)
+        r, v, f, res = np.array([(e.r0_hat_m, e.v_hat_mps, e.f_cfo_hat_hz, e.residual_norm)
+                                 for e in fits], dtype=np.float64).reshape(-1, 4).T
+        return cls(r, v, None if hypothesis == "h1" else f, res, hypothesis)
 
     def take(self, rows) -> "Estimates":
         """The fits at rows of a stack."""
@@ -232,15 +225,12 @@ def _bounded(cfg: OfdmConfig, f_delay, r_m, v_mps):
 
 def bounded_fits(cfg: OfdmConfig, obs: ObservationVector, est0: Estimates,
                  est1: Estimates, genie_cfo_hz,
-                 cfo_floor_hz: float) -> tuple[Estimates, Estimates]:
-    """The (est0, est1) copies the templates are built from; see the
-    module docstring. genie_cfo_hz is the known offset, or None to
-    estimate it from the Doppler rows.
-
-    Stacked observations f [B, n] take stacks of fits and B genie offsets,
-    NaN where the offset is to be estimated; the copies are then stacks,
-    each row bit for bit what it gets alone.
-    """
+                 cfo_floor_hz: float) -> tuple[Estimates, Estimates, dict]:
+    """(est0, est1, errors): the copies the templates are built from (see
+    the module docstring), and by row the IllConditionedError of each
+    failed genie re-solve, whose est0 geometry is NaN. genie_cfo_hz is the
+    known offset, or None to estimate it; stacked observations f [B, n]
+    take stacks of fits and B offsets (NaN: estimate), each row its own."""
     f_obs = obs.f.reshape(-1, obs.f.shape[-1])
     f_delay = f_obs[:, :obs.n_delay]
     r1, v1 = _bounded(cfg, f_delay, np.asarray(est1.r0_hat_m).reshape(-1),
@@ -251,14 +241,20 @@ def bounded_fits(cfg: OfdmConfig, obs: ObservationVector, est0: Estimates,
     genie = np.full(f.shape, np.nan if genie_cfo_hz is None else genie_cfo_hz)
     known = ~np.isnan(genie)
     f = np.where(known, genie, f) + 0.0  # + 0.0: a zero of either sign is +0.0
-    r0, v0 = r1.copy(), v1.copy()
+    r0, v0, errors = r1.copy(), v1.copy(), {}
     rows = (known & (genie != 0.0)).nonzero()[0].tolist()
     if rows:  # re-solve the geometry with the known nonzero offset removed
         rhs = f_obs[rows]
         rhs[:, obs.n_delay:] -= f[rows, None]
-        theta = [_genie_solver(cfg, float(f[row])).theta(b) for row, b in zip(rows, rhs)]
-        r0[rows], v0[rows] = _bounded(cfg, f_delay[rows], *np.array(theta).T)
+        theta = np.full((len(rows), 2), np.nan)
+        for i, row in enumerate(rows):
+            try:
+                theta[i] = _genie_solver(cfg, float(f[row])).solve(rhs[i])[0]
+            except IllConditionedError as exc:
+                errors[row] = exc
+        r0[rows], v0[rows] = _bounded(cfg, f_delay[rows], *theta.T)
     if obs.f.ndim == 1:
         r0, v0, f, r1, v1 = (float(a[0]) for a in (r0, v0, f, r1, v1))
     return (Estimates(r0, v0, f, est0.residual_norm, est0.hypothesis),
-            Estimates(r1, v1, est1.f_cfo_hat_hz, est1.residual_norm, est1.hypothesis))
+            Estimates(r1, v1, est1.f_cfo_hat_hz, est1.residual_norm, est1.hypothesis),
+            errors)

@@ -17,19 +17,17 @@ class SampleGrid:
     """Slow-time by fast-time baseband samples y[..., m, n].
 
     ``sigma2`` records the variance of the complex noise actually
-    injected into the grid, 0.0 for a noiseless grid; stacked grids may
-    carry one per grid.
+    injected into the grid, 0.0 for a noiseless grid.
     """
 
     y: np.ndarray
-    sigma2: float | np.ndarray = 0.0
+    sigma2: float = 0.0
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.complex128)
         if self.y.ndim < 2:
             raise ValueError("sample grid must be [..., m_symbols, n_fft]")
-        if np.ndim(self.sigma2) == 0:
-            self.sigma2 = float(self.sigma2)
+        self.sigma2 = float(self.sigma2)
 
 
 @dataclass(eq=False)

@@ -8,24 +8,21 @@ randomness derived from scenario.seed, so any worker schedule produces
 identical results.
 
 Batches: run_batch runs several trials through one pass. Each trial
-draws its frame, channel gain and noise from its own three RNG
-substreams and is fitted on its own; everything else runs once per
-batch on a leading trial axis: synthesis, noise, FFTs, symbol removal,
-peak extraction, conditioning, templates and statistics. Only
-operations whose per-trial bits do not depend on the rest of the batch
-are used, so every record is bit for bit what its scenario gets alone;
-run_trial is a batch of one. A trial that fails is recorded invalid
-with the message it gets alone, and the others in its batch are
-unaffected: an error in a trial's own steps stays with that trial, and
-if a whole-batch stage after the noise raises, every trial of the batch
-reruns as a batch of one. roc_sweep cuts its trial list by position
-into near-equal batches (see _run_many), so the batches do not depend
-on the worker count either.
+draws its frame, gain and noise from its own three RNG substreams, and
+its noise and fits are its own; synthesis, FFTs, symbol removal, peak
+extraction, conditioning, templates and statistics run once per batch
+on a leading trial axis, using only operations whose per-trial bits do
+not depend on the rest of the batch, so every record is bit for bit
+what its scenario gets alone; run_trial is a batch of one. A trial
+that fails is recorded invalid with the message it gets alone: an
+error in a trial's own steps stays with that trial, and if a
+whole-batch stage after the noise raises, every trial reruns alone.
+roc_sweep cuts its trial list by position into near-equal batches (see
+_run_many), so the batches do not depend on the worker count either.
 
-Estimation modes: a batch can be scored under several genie flags. All
-but the conditioning, statistics and decisions then run once; those run
-over every (flag, trial) pair, and each flag's records are bit for bit
-what that flag gets alone. roc_sweep scores every trial under all its
+Estimation modes: a batch can be scored under several genie flags; the
+conditioning, statistics and decisions then run over every (flag,
+trial) pair, the rest once. roc_sweep scores every trial under all its
 flags in one pass and one worker pool.
 
 Template conditioning: the raw fits are kept verbatim in the record,
@@ -38,7 +35,6 @@ statistic is exactly 0.0 and is set without building them.
 from __future__ import annotations
 
 import concurrent.futures
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,40 +159,29 @@ def batch_size(cfg: OfdmConfig) -> int:
 
 
 def _front_half(cfg: OfdmConfig, scenarios):
-    """(rows, frames, noisy, errors) of the trials in scenarios: each trial
-    draws its frame, gain and noise from its own three RNG substreams of
-    scenario.seed, and then the batch is synthesized and its noise added
-    in one call each. rows lists the trials that got through, whose
-    frames and grids are stacked in that order; errors maps each other
-    trial to the error its own steps raised."""
-    errors, draws = {}, []
+    """Per trial in scenarios, its (frame, noisy) or the error its own
+    steps raised; each draws from its own three RNG substreams of
+    scenario.seed, and the synthesis runs once for the batch."""
+    fronts, draws = [None] * len(scenarios), []
     for row, sc in enumerate(scenarios):
         frame_ss, gain_ss, noise_ss = np.random.SeedSequence(sc.seed).spawn(3)
         try:
             frame = generate_frame(cfg, np.random.default_rng(frame_ss))
             big_g = path_loss_gain(wavelength_m(cfg.f_c_hz), sc.sigma_rcs_m2, sc.r0_m)
-            draws.append((row, frame.x, draw_channel_gain(
+            draws.append((row, frame, draw_channel_gain(
                 big_g, sc, cfg, np.random.default_rng(gain_ss)), noise_ss))
         except OfdmJrcError as exc:
-            errors[row] = exc
-    rows, xs, gains, noise_ss = zip(*draws) if draws else ((), (), (), ())
-    frames = FrameSymbols(x=np.reshape(xs, (len(rows), cfg.k_active, cfg.m_symbols)))
-    lost = {}
-    noisy = add_awgn(synth_target(cfg, [scenarios[r] for r in rows], frames, gains),
-                     [scenarios[r].snr_db for r in rows], noise_ss, errors=lost)
-    if lost:
-        errors.update({rows[i]: exc for i, exc in lost.items()})
-        kept = [i for i in range(len(rows)) if i not in lost]
-        rows, frames = [rows[i] for i in kept], FrameSymbols(x=frames.x[kept])
-        noisy = SampleGrid(y=noisy.y[kept], sigma2=noisy.sigma2[kept])
-    return list(rows), frames, noisy, errors
-
-
-def _first(frames: FrameSymbols, noisy: SampleGrid, fg: FreqGrid):
-    """The first trial's (frame, noisy, fg) of stacked ones."""
-    return (FrameSymbols(x=frames.x[0]),
-            SampleGrid(y=noisy.y[0], sigma2=noisy.sigma2[0]),
-            FreqGrid(y_tilde=fg.y_tilde[0]))
+            fronts[row] = exc
+    rows, frames, gains, noise_ss = zip(*draws) if draws else ((), (), (), ())
+    grids = synth_target(cfg, [scenarios[r] for r in rows], FrameSymbols(x=np.reshape(
+        [f.x for f in frames], (len(rows), cfg.k_active, cfg.m_symbols))), gains).y
+    for row, frame, y, ss in zip(rows, frames, grids, noise_ss):
+        try:
+            fronts[row] = frame, add_awgn(SampleGrid(y=y), scenarios[row].snr_db,
+                                          np.random.default_rng(ss))
+        except OfdmJrcError as exc:
+            fronts[row] = exc
+    return fronts
 
 
 def trial_grids(cfg: OfdmConfig, scenario: Scenario):
@@ -205,57 +190,52 @@ def trial_grids(cfg: OfdmConfig, scenario: Scenario):
     The grids run_batch scores for this scenario, bit for bit, without
     scoring them; the rdmap export uses it.
     """
-    _, frames, noisy, errors = _front_half(cfg, [scenario])
-    if errors:
-        raise errors[0]
-    return _first(frames, noisy, remove_known_symbols(fast_time_dft(noisy, cfg), frames))
+    front = _front_half(cfg, [scenario])[0]
+    if isinstance(front, Exception):
+        raise front
+    frame, noisy = front
+    return frame, noisy, remove_known_symbols(fast_time_dft(noisy, cfg), frame)
 
 
 def _score(cfg, fg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
     """Per flag in flags, (est0, est1, t_stat, outcome) for each trial
-    stacked in fg, or the error its own fits or decision raised. The peaks
-    run once for the stack and the fits once per trial; the conditioning
-    runs once over every (flag, trial) pair, and the templates and
-    statistics once over those whose statistic is not exactly zero."""
+    stacked in fg, or the error its own fits, genie re-solve or decision
+    raised. Only the fits run per trial; the templates and statistics skip
+    the (flag, trial) pairs whose statistic is exactly zero."""
     peaks = extract_peak_observations(fg, cfg)
     dm = build_design_matrices(cfg)
-    fits, fitted = [], []  # per trial (est0, est1) or its error; rows fitted
+    fits = []  # per trial: (est0, est1), or the error of its fits
     for row in range(len(scenarios)):
         try:
             obs = ObservationVector.from_peaks(PeakObservations(
                 delay_obs_s=peaks.delay_obs_s[row],
                 dopp_obs_hz=peaks.dopp_obs_hz[row]))
             fits.append((estimate_h0(obs, dm), estimate_h1(obs, dm)))
-            fitted.append(row)
         except OfdmJrcError as exc:
             fits.append(exc)
-    # pair p = f * n + i is trial fitted[i] under flags[f]; NaN: estimate
-    n = len(fitted)
-    obs = ObservationVector(f=np.concatenate([np.concatenate(
-        [peaks.delay_obs_s, peaks.dopp_obs_hz], axis=-1)[fitted]] * len(flags)),
-        n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
-    raw = [Estimates.stack([fits[r][i] for _ in flags for r in fitted], hyp)
+    # pair p is trial pairs[p][1] under flags[pairs[p][0]]
+    pairs = [(f, row) for f in range(len(flags))
+             for row, fit in enumerate(fits) if not isinstance(fit, Exception)]
+    obs = ObservationVector(f=np.concatenate([peaks.delay_obs_s, peaks.dopp_obs_hz], axis=-1)[
+        [row for _, row in pairs]], n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    raw = [Estimates.stack([fits[row][i] for _, row in pairs], hyp)
            for i, hyp in enumerate(("h0", "h1"))]
-    cfo = [scenarios[r].f_cfo_hz if genie else np.nan for genie in flags for r in fitted]
-    b0, b1 = bounded_fits(cfg, obs, *raw, cfo, cfo_floor_hz)
+    cfo = [scenarios[row].f_cfo_hz if flags[f] else np.nan for f, row in pairs]
+    b0, b1, errors = bounded_fits(cfg, obs, *raw, cfo, cfo_floor_hz)
     # equal geometry and a zero offset: identical templates, T exactly 0
     zero = ((b0.f_cfo_hat_hz == 0.0) & (b0.r0_hat_m == b1.r0_hat_m)
             & (b0.v_hat_mps == b1.v_hat_mps))
-    todo = (~zero).nonzero()[0]
-    t_stats = np.zeros(zero.size)
-    t_stats[todo] = glrt_statistic(fg.vectorized()[[fitted[p % n] for p in todo]],
-                                   synth_templates(cfg, b0.take(todo), b1.take(todo)),
-                                   mode)
-    per_flag = []
-    for f in range(len(flags)):
-        out = list(fits)
-        for p, row in enumerate(fitted, start=f * n):
-            t = float(t_stats[p])
-            try:
-                out[row] = (*fits[row], t, decide(t, gamma_prime, mode))
-            except OfdmJrcError as exc:
-                out[row] = exc
-        per_flag.append(out)
+    todo = [p for p in (~zero).nonzero()[0].tolist() if p not in errors]
+    t_stats = np.zeros(len(pairs))
+    t_stats[todo] = glrt_statistic(fg.vectorized()[[pairs[p][1] for p in todo]],
+                                   synth_templates(cfg, b0.take(todo), b1.take(todo)), mode)
+    per_flag = [list(fits) for _ in flags]
+    for p, ((f, row), t) in enumerate(zip(pairs, t_stats.tolist())):
+        try:
+            per_flag[f][row] = errors[p] if p in errors else (
+                *fits[row], t, decide(t, gamma_prime, mode))
+        except OfdmJrcError as exc:
+            per_flag[f][row] = exc
     return per_flag
 
 
@@ -273,38 +253,41 @@ def _check_detector(mode: str, cfo_floor_hz: float, gamma_prime: float) -> None:
     offset to zero, a NaN threshold fails every decision; +-inf are legal."""
     check_mode(mode)
     for name, value in (("cfo_floor_hz", cfo_floor_hz), ("gamma_prime", gamma_prime)):
-        if math.isnan(value):
+        if np.isnan(value):
             raise ConfigurationError(f"{name} must not be NaN")
 
 
 def _run_batch(cfg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
-    """run_batch's records under each flag in flags, plus the stacked
-    (frames, noisy, fg) of the trials whose front half got through (fg
-    None if it was not made).
+    """run_batch's records under each flag in flags, plus each trial's
+    front half (see _front_half) and the live trials' stacked
+    symbol-removed grid (None if it was not made).
 
-    When a whole-batch stage after the front half raises, a lone trial
-    under a lone flag takes the error; otherwise every trial reruns as a
-    batch of one under each flag.
+    A trial is live once its front half has run. When a whole-batch
+    stage raises, a lone live trial under a lone flag takes the error;
+    otherwise every trial reruns as a batch of one under each flag.
     """
     _check_detector(mode, cfo_floor_hz, gamma_prime)
-    live, frames, noisy, errors = _front_half(cfg, scenarios)
+    fronts = _front_half(cfg, scenarios)
+    live = [i for i, front in enumerate(fronts) if not isinstance(front, Exception)]
     fg, scored = None, [[] for _ in flags]
     try:
         if live:
+            noisy = SampleGrid(y=np.stack([fronts[i][1].y for i in live]))
+            frames = FrameSymbols(x=np.stack([fronts[i][0].x for i in live]))
             fg = remove_known_symbols(fast_time_dft(noisy, cfg), frames)
             scored = _score(cfg, fg, [scenarios[i] for i in live], flags, mode,
                             cfo_floor_hz, gamma_prime)
     except OfdmJrcError as exc:
         if len(live) > 1 or len(flags) > 1:
             return [[run_trial(cfg, sc, genie, mode, cfo_floor_hz, gamma_prime)
-                     for sc in scenarios] for genie in flags], (frames, noisy, None)
+                     for sc in scenarios] for genie in flags], fronts, None
         scored = [[exc]]
     records = []
     for genie, out in zip(flags, scored):
-        by_trial = {**errors, **dict(zip(live, out))}
-        records.append([_record(sc, genie, by_trial[i])
+        by_trial = dict(zip(live, out))
+        records.append([_record(sc, genie, by_trial.get(i, fronts[i]))
                         for i, sc in enumerate(scenarios)])
-    return records, (frames, noisy, fg)
+    return records, fronts, fg
 
 
 def run_batch(cfg: OfdmConfig, scenarios, genie: bool = False,
@@ -336,9 +319,11 @@ def run_trial_with_grids(cfg: OfdmConfig, scenario: Scenario,
                          gamma_prime: float = 0.0):
     """run_trial's record and the (frame, noisy, fg) it scored, from one
     pass; the grids are None when the trial failed before fg existed."""
-    records, (frames, noisy, fg) = _run_batch(cfg, [scenario], (genie,), mode,
-                                              cfo_floor_hz, gamma_prime)
-    return records[0][0], None if fg is None else _first(frames, noisy, fg)
+    records, fronts, fg = _run_batch(cfg, [scenario], (genie,), mode,
+                                     cfo_floor_hz, gamma_prime)
+    if fg is None:
+        return records[0][0], None
+    return records[0][0], (*fronts[0], FreqGrid(y_tilde=fg.y_tilde[0]))
 
 
 _WORKER_RUN = None  # cfg and _run_batch's trailing arguments, set per pool worker

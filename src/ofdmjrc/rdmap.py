@@ -56,7 +56,7 @@ def remove_known_symbols(y_f: np.ndarray, frame: FrameSymbols) -> FreqGrid:
             f"frame shape {frame.x.shape} does not match grid {y_f.shape}"
         )
     small = np.abs(frame.x) < _DIVISION_FLOOR
-    if small.any():
+    if np.any(small):
         raise DivisionGuardError(
             f"{int(small.sum())} transmitted symbols are below {_DIVISION_FLOOR} "
             "in magnitude; cannot divide them out"
@@ -151,10 +151,9 @@ def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations
     go through one refine_tones call, and so do the Doppler rows.
     """
     peak = np.fmax.reduce(np.abs(fg.y_tilde), axis=(-2, -1))
-    if not (peak > 0.0).all():
+    if not np.all(peak > 0.0):
         raise NoPeakError("grid is identically zero; no peak to extract")
-    # Scaling each grid by the power of two that brings its largest value
-    # into [0.5, 1) is exact, and keeps the tone powers finite at any gain.
+    # Exact scaling by a power of two keeps the tone powers finite at any gain.
     y_tilde = np.ldexp(np.ascontiguousarray(fg.y_tilde).view(np.float64),
                        -np.frexp(peak)[1][..., None, None]).view(np.complex128)
     consts = grid_constants(cfg)

@@ -73,6 +73,14 @@ def test_path_loss_rejects_degenerate_inputs():
             path_loss_gain(0.06, 1.0, r0_m)
 
 
+def test_path_loss_takes_numpy_ranges_without_warnings():
+    # RuntimeWarnings are errors in this suite
+    assert path_loss_gain(0.06, 1.0, np.float64(1e80)) == 0.0
+    assert path_loss_gain(0.06, 1.0, np.float64(2.0)) == path_loss_gain(0.06, 1.0, 2.0)
+    with pytest.raises(SingularityError, match="is too short"):
+        path_loss_gain(0.06, 1.0, np.float64(10.0**-78.5))
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         _real_scenario(f_cfo_hz=100.0)
@@ -197,10 +205,9 @@ def test_noiseless_echo_energy_matches_gain(cfg):
     assert energy == pytest.approx(abs(h) ** 2 * cfg.k_active * cfg.m_symbols, rel=1e-9)
 
 
-def test_stacked_synthesis_and_noise_are_each_trial_alone(cfg):
+def test_stacked_synthesis_is_each_trial_alone(cfg):
     scs = [_false_scenario(seed=1), _real_scenario(r0_m=40.0, v_mps=-20.0),
-           _false_scenario(f_cfo_hz=-3e3, snr_db=np.inf),
-           _real_scenario(snr_db=4000.0)]
+           _false_scenario(f_cfo_hz=-3e3), _real_scenario()]
     frames = [generate_frame(cfg, seed=i) for i in range(len(scs))]
     gains = [draw_channel_gain(1e-6, sc, cfg, seed=i) for i, sc in enumerate(scs)]
     alone = [synth_target(cfg, *a) for a in zip(scs, frames, gains)]
@@ -208,27 +215,12 @@ def test_stacked_synthesis_and_noise_are_each_trial_alone(cfg):
         [f.x for f in frames])), gains)
     assert stacked.y.shape == (len(scs), cfg.m_symbols, cfg.n_fft)
     assert all(np.array_equal(s, a.y) for s, a in zip(stacked.y, alone))
-    errors = {}
-    noisy = add_awgn(stacked, [sc.snr_db for sc in scs], [5, 6, 7, 8],
-                     errors=errors)
-    for row in range(3):
-        single = add_awgn(alone[row], scs[row].snr_db, 5 + row)
-        assert np.array_equal(noisy.y[row], single.y)
-        assert noisy.sigma2[row] == single.sigma2
-    with pytest.raises(CalibrationError) as calib:
-        add_awgn(alone[3], 4000.0, 8)
-    assert list(errors) == [3] and str(errors[3]) == str(calib.value)
-    assert np.isnan(noisy.sigma2[3]) and np.array_equal(noisy.y[3], alone[3].y)
-    with pytest.raises(CalibrationError):  # no dict: the stack raises
-        add_awgn(stacked, [sc.snr_db for sc in scs], [5, 6, 7, 8])
 
 
-def test_stacked_synthesis_and_noise_accept_zero_trials(cfg):
+def test_stacked_synthesis_accepts_zero_trials(cfg):
     none = synth_target(cfg, [], replace(generate_frame(cfg, seed=1), x=np.zeros(
         (0, cfg.k_active, cfg.m_symbols))), [])
     assert none.y.shape == (0, cfg.m_symbols, cfg.n_fft)
-    noisy = add_awgn(none, [], [], errors={})
-    assert noisy.y.shape == none.y.shape and noisy.sigma2.shape == (0,)
 
 
 def test_add_awgn_infinite_snr_is_identity(cfg):

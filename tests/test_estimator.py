@@ -235,7 +235,7 @@ def test_bounded_fit_clamps_velocity_and_resolves_range_from_delay_rows(cfg,
     # a 10 kHz offset read as velocity is about 300 m/s, past v_max
     obs, est0, est1 = _fits(cfg, 100.0, 0.0, sign * 10e3)
     assert abs(est1.v_hat_mps) > cfg.v_max_mps
-    _, b1 = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    _, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 1.0)
     assert b1.v_hat_mps == sign * cfg.v_max_mps
     # the delay rows hold 2R/c for every symbol; under v they read
     # R + v * mean(m * t_sym)
@@ -247,14 +247,14 @@ def test_bounded_fit_clamps_velocity_and_resolves_range_from_delay_rows(cfg,
     f = obs.f.copy()
     f[cfg.m_symbols:] += sign * 500.0
     moved = ObservationVector(f=f, n_delay=obs.n_delay, n_doppler=obs.n_doppler)
-    _, b1_moved = bounded_fits(cfg, moved, est0, est1, None, 1.0)
+    _, b1_moved, _ = bounded_fits(cfg, moved, est0, est1, None, 1.0)
     assert b1_moved.r0_hat_m == b1.r0_hat_m
     assert (b1.f_cfo_hat_hz, b1.residual_norm) == (None, est1.residual_norm)
 
 
 def test_bounded_fit_keeps_an_in_bound_geometry_bit_for_bit(cfg):
     obs, est0, est1 = _fits(cfg, 250.0, -30.0, 0.0)
-    b0, b1 = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    b0, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 1.0)
     assert b1.r0_hat_m.hex() == est1.r0_hat_m.hex()
     assert b1.v_hat_mps.hex() == est1.v_hat_mps.hex()
     assert b1 == est1
@@ -265,12 +265,12 @@ def test_bounded_fit_keeps_an_in_bound_geometry_bit_for_bit(cfg):
 def test_an_offset_below_the_floor_is_exactly_zero(cfg):
     # at v = v_max, h1 cannot absorb the 0.5 Hz into a faster velocity
     obs, est0, est1 = _fits(cfg, 100.0, cfg.v_max_mps, 0.5)
-    b0, b1 = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    b0, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 1.0)
     assert b0.f_cfo_hat_hz == 0.0
     tp = synth_templates(cfg, b0, b1)
     np.testing.assert_array_equal(tp.u0, tp.u1)
     # a floor below the offset lets it through
-    b0, b1 = bounded_fits(cfg, obs, est0, est1, None, 0.1)
+    b0, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 0.1)
     assert b0.f_cfo_hat_hz == pytest.approx(0.5, abs=0.05)
     tp = synth_templates(cfg, b0, b1)
     assert not np.array_equal(tp.u0, tp.u1)
@@ -287,16 +287,16 @@ def test_genie_offsets_fit_the_geometry_with_that_offset_removed(cfg):
     obs = ObservationVector(f=f, n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
     dm = build_design_matrices(cfg)
     est0, est1 = estimate_h0(obs, dm), estimate_h1(obs, dm)
-    _, b1 = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    _, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 1.0)
     assert b1.v_hat_mps == cfg.v_max_mps  # h1 reads the offset as speed
     # a zero genie offset, of either sign, is h1's bounded geometry
     for zero in (0.0, -0.0):
-        b0, _ = bounded_fits(cfg, obs, est0, est1, zero, 1.0)
+        b0, _, _ = bounded_fits(cfg, obs, est0, est1, zero, 1.0)
         assert (b0.r0_hat_m, b0.v_hat_mps, b0.f_cfo_hat_hz) == (
             b1.r0_hat_m, b1.v_hat_mps, 0.0)
         assert np.copysign(1.0, b0.f_cfo_hat_hz) == 1.0
     # the true offset leaves the true geometry
-    b0, _ = bounded_fits(cfg, obs, est0, est1, f_cfo, 1.0)
+    b0, _, _ = bounded_fits(cfg, obs, est0, est1, f_cfo, 1.0)
     assert b0.f_cfo_hat_hz == f_cfo
     assert b0.r0_hat_m == pytest.approx(r0, rel=1e-5)
     assert b0.v_hat_mps == pytest.approx(v, rel=1e-6)

@@ -435,8 +435,13 @@ def test_a_genie_solver_failure_stays_with_its_flag_and_trial(cfg, monkeypatch):
     scenarios = _mixed_scenarios(6, master_seed=31)
     scenarios[2] = replace(scenarios[2], f_cfo_hz=20e3)
     flags = (False, True)
+    frames = []
+    draw = mc.generate_frame
+    monkeypatch.setattr(mc, "generate_frame",
+                        lambda *args: frames.append(args) or draw(*args))
     recs = mc._run_batch(cfg, scenarios, flags, MODE_AMPLITUDE,
                          mc.DEFAULT_CFO_FLOOR_HZ, 0.0)[0]
+    assert len(frames) == len(scenarios)  # the batch did not rerun
     assert [[r.error for r in flag] for flag in recs] == [
         [None] * 6, [None, None, "refused", None, None, None]]
     assert [[_bits(r) for r in flag] for flag in recs] == [
