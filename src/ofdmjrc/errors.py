@@ -33,7 +33,7 @@ class DivisionGuardError(PipelineError):
 
 
 class NoPeakError(PipelineError):
-    """Peak extraction was asked to run on a grid with no usable energy."""
+    """A grid with no energy, so no peak; extraction reports it per row."""
 
 
 class EstimationSetupError(PipelineError):

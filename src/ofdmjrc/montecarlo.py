@@ -14,9 +14,9 @@ extraction, conditioning, templates and statistics run once per batch
 on a leading trial axis, using only operations whose per-trial bits do
 not depend on the rest of the batch, so every record is bit for bit
 what its scenario gets alone; run_trial is a batch of one. A trial
-that fails is recorded invalid with the message it gets alone: an
-error in a trial's own steps stays with that trial, and if a
-whole-batch stage after the noise raises, every trial reruns alone.
+that fails is recorded invalid with the message it gets alone: every
+error of a trial's own, a grid with no peak included, stays with that
+trial, and nothing reruns.
 roc_sweep cuts its trial list by position into near-equal batches (see
 _run_many), so the batches do not depend on the worker count either.
 
@@ -199,20 +199,21 @@ def trial_grids(cfg: OfdmConfig, scenario: Scenario):
 
 def _score(cfg, fg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
     """Per flag in flags, (est0, est1, t_stat, outcome) for each trial
-    stacked in fg, or the error its own fits, genie re-solve or decision
-    raised. Only the fits run per trial; the templates and statistics skip
-    the (flag, trial) pairs whose statistic is exactly zero."""
-    peaks = extract_peak_observations(fg, cfg)
+    stacked in fg, or the error of its own peaks, fits, genie re-solve or
+    decision. Only the fits run per trial; the templates and statistics
+    skip the (flag, trial) pairs whose statistic is exactly zero."""
+    peaks, no_peak = extract_peak_observations(fg, cfg)
     dm = build_design_matrices(cfg)
-    fits = []  # per trial: (est0, est1), or the error of its fits
-    for row in range(len(scenarios)):
+    # per trial: (est0, est1), or the error of its peaks or fits
+    fits = [no_peak.get(row) for row in range(len(scenarios))]
+    for row in [row for row, fit in enumerate(fits) if fit is None]:
         try:
             obs = ObservationVector.from_peaks(PeakObservations(
                 delay_obs_s=peaks.delay_obs_s[row],
                 dopp_obs_hz=peaks.dopp_obs_hz[row]))
-            fits.append((estimate_h0(obs, dm), estimate_h1(obs, dm)))
+            fits[row] = estimate_h0(obs, dm), estimate_h1(obs, dm)
         except OfdmJrcError as exc:
-            fits.append(exc)
+            fits[row] = exc
     # pair p is trial pairs[p][1] under flags[pairs[p][0]]
     pairs = [(f, row) for f in range(len(flags))
              for row, fit in enumerate(fits) if not isinstance(fit, Exception)]
@@ -262,9 +263,9 @@ def _run_batch(cfg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
     front half (see _front_half) and the live trials' stacked
     symbol-removed grid (None if it was not made).
 
-    A trial is live once its front half has run. When a whole-batch
-    stage raises, a lone live trial under a lone flag takes the error;
-    otherwise every trial reruns as a batch of one under each flag.
+    A trial is live once its front half has run. Every per-trial error is
+    reported with its trial; an error a whole-batch stage still raises is
+    a fault of the batch, recorded on every live trial under every flag.
     """
     _check_detector(mode, cfo_floor_hz, gamma_prime)
     fronts = _front_half(cfg, scenarios)
@@ -278,10 +279,7 @@ def _run_batch(cfg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
             scored = _score(cfg, fg, [scenarios[i] for i in live], flags, mode,
                             cfo_floor_hz, gamma_prime)
     except OfdmJrcError as exc:
-        if len(live) > 1 or len(flags) > 1:
-            return [[run_trial(cfg, sc, genie, mode, cfo_floor_hz, gamma_prime)
-                     for sc in scenarios] for genie in flags], fronts, None
-        scored = [[exc]]
+        scored = [[exc] * len(live) for _ in flags]
     records = []
     for genie, out in zip(flags, scored):
         by_trial = dict(zip(live, out))

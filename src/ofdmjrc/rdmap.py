@@ -13,8 +13,8 @@ steps on the exact tone objective refine each peak well below one
 padded bin.
 
 fast_time_dft, remove_known_symbols and extract_peak_observations also
-take grids with leading axes that stack several trials; each trial's
-result is bit for bit what it gets alone.
+take grids stacked on leading axes, each trial bit for bit what it gets
+alone; extract_peak_observations reports all-zero grids per row.
 """
 
 from __future__ import annotations
@@ -138,8 +138,9 @@ class PeakObservations:
     dopp_obs_hz: np.ndarray
 
 
-def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations:
-    """Coarse zero-padded peaks refined by Newton ascent within one padded bin.
+def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> tuple[PeakObservations, dict]:
+    """(peaks, errors): coarse zero-padded peaks refined by Newton ascent,
+    and by flattened leading index the NoPeakError of each all-zero grid.
 
     Each slow-time column m yields one delay observation by maximizing
     |sum_k y_tilde[k,m] e^{+j2pi k delta_f tau}| over tau; each
@@ -151,8 +152,8 @@ def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations
     go through one refine_tones call, and so do the Doppler rows.
     """
     peak = np.fmax.reduce(np.abs(fg.y_tilde), axis=(-2, -1))
-    if not np.all(peak > 0.0):
-        raise NoPeakError("grid is identically zero; no peak to extract")
+    errors = {row: NoPeakError("grid is identically zero; no peak to extract")
+              for row in np.flatnonzero(~(peak > 0.0)).tolist()}
     # Exact scaling by a power of two keeps the tone powers finite at any gain.
     y_tilde = np.ldexp(np.ascontiguousarray(fg.y_tilde).view(np.float64),
                        -np.frexp(peak)[1][..., None, None]).view(np.complex128)
@@ -176,7 +177,7 @@ def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> PeakObservations
     span = 1.0 / cfg.t_sym_s
     dopps = (np.mod(dopps + span / 2.0, span) - span / 2.0).reshape(*lead, k)
 
-    return PeakObservations(delay_obs_s=delays, dopp_obs_hz=dopps)
+    return PeakObservations(delay_obs_s=delays, dopp_obs_hz=dopps), errors
 
 
 def resolution_summary(cfg: OfdmConfig) -> dict[str, float]:

@@ -41,6 +41,10 @@ import pytest
 
 _MASTER_SEED = 20260816
 _WORKERS = min(8, os.cpu_count() or 1)
+# `python -m ofdmjrc` imports the package from this checkout's src
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH", "")) if p))
 
 _BASE_FALSE = Scenario(kind=TargetKind.FALSE_TARGET, r0_m=100.0, v_mps=10.0,
                        f_cfo_hz=10e3, sigma_rcs_m2=1.0, snr_db=9.0, seed=0)
@@ -64,7 +68,7 @@ def test_criterion_1_noiseless_range_recovery(cfg):
                         f_cfo_hz=0.0, sigma_rcs_m2=1.0, snr_db=np.inf, seed=0)
     start = time.perf_counter()
     fg = _noiseless_freq_grid(cfg, scenario)
-    peaks = extract_peak_observations(fg, cfg)
+    peaks = extract_peak_observations(fg, cfg)[0]
     obs = ObservationVector.from_peaks(peaks)
     est = estimate_h1(obs, build_design_matrices(cfg))
     elapsed = time.perf_counter() - start
@@ -82,7 +86,7 @@ def test_criterion_1_noiseless_range_recovery(cfg):
 def test_criterion_2_noiseless_offset_recovery(cfg):
     scenario = replace(_BASE_FALSE, v_mps=0.0, snr_db=np.inf)
     fg = _noiseless_freq_grid(cfg, scenario)
-    obs = ObservationVector.from_peaks(extract_peak_observations(fg, cfg))
+    obs = ObservationVector.from_peaks(extract_peak_observations(fg, cfg)[0])
     dm = build_design_matrices(cfg)
     est0 = estimate_h0(obs, dm)
     est1 = estimate_h1(obs, dm)
@@ -250,7 +254,7 @@ def test_criterion_8_parallel_csv_determinism(tmp_path):
             [sys.executable, "-m", "ofdmjrc", "roc",
              "--config", str(cfg_path), "--out", str(out),
              "--seed", "77", "--workers", str(workers)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_SRC_ENV)
         assert proc.returncode == 0, proc.stderr
         outputs[workers] = (out / "roc.csv").read_bytes()
     ok = outputs[1] == outputs[8]

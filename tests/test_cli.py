@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,10 +9,15 @@ import pytest
 
 import ofdmjrc
 
+# `python -m ofdmjrc` imports the package from this checkout's src
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH", "")) if p))
+
 
 def _run(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "ofdmjrc", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=_SRC_ENV)
 
 
 def _write_cfg(tmp_path, text=""):

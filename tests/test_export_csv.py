@@ -3,6 +3,7 @@ replaced, and the CLI dumps against the grids a trial scores."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -16,6 +17,11 @@ from ofdmjrc.grids import SampleGrid
 from ofdmjrc.montecarlo import trial_grids
 from ofdmjrc.rdmap import RangeDopplerMap, write_rdmap_csv
 from ofdmjrc.waveform import FrameSymbols, active_subcarriers, write_frame_csv
+
+# `python -m ofdmjrc` imports the package from this checkout's src
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH", "")) if p))
 
 # -- the four per-element writers as they were before the shared writer ----
 
@@ -135,7 +141,7 @@ def test_dumped_grids_parse_back_to_trial_grids(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ofdmjrc", "simulate",
          "--set", "io.dump_grids=true", "--seed", str(seed), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     cfg_map = resolve_config(None, ["io.dump_grids=true"])
     cfg = ofdm_config_from(cfg_map)

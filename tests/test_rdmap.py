@@ -174,19 +174,27 @@ def test_stacked_peaks_over_several_coarse_slices_match_each_grid_alone(
     for rows, step in searches:  # several slices, the last one partial
         assert n * rows > 2 * step and (n * rows) % step
     grids = _noisy_freq_grids(cfg, n)
-    stacked = extract_peak_observations(
+    zero = n // 2  # an all-zero grid is reported and costs the others nothing
+    grids[zero] = FreqGrid(y_tilde=np.zeros((k, m), dtype=np.complex128))
+    stacked, errors = extract_peak_observations(
         FreqGrid(y_tilde=np.stack([fg.y_tilde for fg in grids])), cfg)
     assert stacked.delay_obs_s.shape == (n, m)
     assert stacked.dopp_obs_hz.shape == (n, k)
+    assert list(errors) == [zero] and isinstance(errors[zero], NoPeakError)
+    assert str(errors[zero]) == "grid is identically zero; no peak to extract"
+    assert np.all(np.isfinite(stacked.delay_obs_s[zero]))
+    assert np.all(np.isfinite(stacked.dopp_obs_hz[zero]))
     for row, fg in enumerate(grids):
-        alone = extract_peak_observations(fg, cfg)
-        assert stacked.delay_obs_s[row].tobytes() == alone.delay_obs_s.tobytes()
-        assert stacked.dopp_obs_hz[row].tobytes() == alone.dopp_obs_hz.tobytes()
+        if row != zero:
+            alone, none = extract_peak_observations(fg, cfg)
+            assert none == {}
+            assert stacked.delay_obs_s[row].tobytes() == alone.delay_obs_s.tobytes()
+            assert stacked.dopp_obs_hz[row].tobytes() == alone.dopp_obs_hz.tobytes()
 
 
 def test_peak_observations_recover_static_delay(cfg):
     sc = _real(r0=100.0)
-    obs = extract_peak_observations(_clean_freq_grid(cfg, sc), cfg)
+    obs = extract_peak_observations(_clean_freq_grid(cfg, sc), cfg)[0]
     tau0 = 2.0 * sc.r0_m / C_LIGHT
     assert obs.delay_obs_s.shape == (cfg.m_symbols,)
     assert obs.dopp_obs_hz.shape == (cfg.k_active,)
@@ -195,12 +203,12 @@ def test_peak_observations_recover_static_delay(cfg):
 
 
 def test_peak_observations_recover_pure_offset(cfg):
-    obs = extract_peak_observations(_clean_freq_grid(cfg, _false(f_cfo=10e3)), cfg)
+    obs = extract_peak_observations(_clean_freq_grid(cfg, _false(f_cfo=10e3)), cfg)[0]
     np.testing.assert_allclose(obs.dopp_obs_hz, 10e3, atol=1.0)
 
 
 def test_peak_observations_track_negative_offset(cfg):
-    obs = extract_peak_observations(_clean_freq_grid(cfg, _false(f_cfo=-7e3)), cfg)
+    obs = extract_peak_observations(_clean_freq_grid(cfg, _false(f_cfo=-7e3)), cfg)[0]
     np.testing.assert_allclose(obs.dopp_obs_hz, -7e3, atol=1.0)
     span = 1.0 / cfg.t_sym_s
     assert np.all(obs.dopp_obs_hz >= -span / 2) and np.all(obs.dopp_obs_hz < span / 2)
@@ -209,8 +217,9 @@ def test_peak_observations_track_negative_offset(cfg):
 def test_peak_observations_need_signal(cfg):
     silent = FreqGrid(y_tilde=np.zeros((cfg.k_active, cfg.m_symbols),
                                        dtype=np.complex128))
-    with pytest.raises(NoPeakError):
-        extract_peak_observations(silent, cfg)
+    errors = extract_peak_observations(silent, cfg)[1]
+    assert list(errors) == [0] and isinstance(errors[0], NoPeakError)
+    assert str(errors[0]) == "grid is identically zero; no peak to extract"
 
 
 def test_finer_zero_padding_does_not_hurt(cfg):
@@ -221,7 +230,7 @@ def test_finer_zero_padding_does_not_hurt(cfg):
     errs = []
     for zp in (2, 4, 8, 16):
         c = build_config(zero_pad=zp)
-        obs = extract_peak_observations(_clean_freq_grid(c, sc), c)
+        obs = extract_peak_observations(_clean_freq_grid(c, sc), c)[0]
         errs.append(float(np.max(np.abs(obs.delay_obs_s - tau0))))
     for lo, hi in zip(errs[1:], errs[:-1]):
         assert lo <= hi + 1e-12
