@@ -45,7 +45,6 @@ from .errors import (
 from .estimator import (
     DesignMatrices,
     Estimates,
-    ObservationVector,
     build_design_matrices,
     estimate_h0,
     estimate_h1,
@@ -99,7 +98,6 @@ __all__ = [
     "MODE_AMPLITUDE",
     "MODE_REAL_PART",
     "NoPeakError",
-    "ObservationVector",
     "OfdmConfig",
     "OfdmJrcError",
     "PeakObservations",

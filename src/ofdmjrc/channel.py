@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError, SingularityError
 from .grids import SampleGrid, write_cells_csv
-from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, grid_constants, grid_phasors
+from .waveform import (C_LIGHT, FrameSymbols, OfdmConfig, check_fields, grid_constants,
+                       grid_phasors)
 
 
 class TargetKind(enum.Enum):
@@ -58,6 +60,9 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.kind, TargetKind):
             raise ConfigurationError(f"kind must be a TargetKind, got {self.kind!r}")
+        check_fields(self, ("r0_m", "v_mps", "f_cfo_hz", "sigma_rcs_m2", "snr_db"),
+                     numbers.Real, "a real number")
+        check_fields(self, ("seed",), numbers.Integral, "an integer")
         for name in ("r0_m", "v_mps", "f_cfo_hz", "sigma_rcs_m2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(
@@ -65,12 +70,9 @@ class Scenario:
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ConfigurationError(
                 f"snr_db must be finite or +inf, got {self.snr_db}")
-        if self.r0_m <= 0:
-            raise ConfigurationError(f"r0_m must be positive, got {self.r0_m}")
-        if self.sigma_rcs_m2 <= 0:
-            raise ConfigurationError(
-                f"sigma_rcs_m2 must be positive, got {self.sigma_rcs_m2}"
-            )
+        for name in ("r0_m", "sigma_rcs_m2"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.kind is TargetKind.REAL_TARGET and self.f_cfo_hz != 0.0:
             raise ConfigurationError(
                 "a real target cannot carry a carrier frequency offset; "

@@ -1,10 +1,12 @@
 """Joint linear least-squares estimation of range, velocity, and offset.
 
-The refined peak observations are linear in the unknowns once the tiny
-velocity-offset cross term is dropped: each per-symbol delay obeys
-(2/c)*R - (2/c)*m*t_sym*v, and each per-subcarrier Doppler obeys
-(2/c)*(f_c + k*delta_f)*v + f_cfo. Stacking both blocks gives one
-overdetermined real system solved under either hypothesis:
+The input is one trial's rdmap.PeakObservations, as a row of
+extract_peak_observations' peaks holds it. Its refined observations are
+linear in the unknowns once the tiny velocity-offset cross term is
+dropped: each per-symbol delay obeys (2/c)*R - (2/c)*m*t_sym*v, and
+each per-subcarrier Doppler obeys (2/c)*(f_c + k*delta_f)*v + f_cfo.
+Stacking the delays over the Dopplers gives one overdetermined real
+system f, solved under either hypothesis:
 
   false-target fit (h0):  f ~ A2 @ [R, v] + a1 * f_cfo
   real-target fit  (h1):  f ~ A2 @ [R, v]
@@ -44,29 +46,6 @@ from .rdmap import PeakObservations
 from .waveform import C_LIGHT, OfdmConfig, grid_constants
 
 COND_LIMIT = 1.0e12
-
-
-@dataclass(frozen=True)
-class ObservationVector:
-    """Stacked real observations: n_delay delays (s) then n_doppler Dopplers (Hz)."""
-
-    f: np.ndarray
-    n_delay: int
-    n_doppler: int
-
-    @classmethod
-    def from_peaks(cls, peaks: PeakObservations) -> "ObservationVector":
-        d = np.asarray(peaks.delay_obs_s, dtype=np.float64).ravel()
-        p = np.asarray(peaks.dopp_obs_hz, dtype=np.float64).ravel()
-        if d.size == 0 or p.size == 0:
-            raise EstimationSetupError(
-                f"need at least one delay and one Doppler observation, "
-                f"got {d.size} and {p.size}"
-            )
-        f = np.concatenate([d, p])
-        if not np.all(np.isfinite(f)):
-            raise EstimationSetupError("observations must be finite")
-        return cls(f=f, n_delay=int(d.size), n_doppler=int(p.size))
 
 
 class ScaledLs:
@@ -177,28 +156,33 @@ class Estimates:
                            for a in vars(self).values()))
 
 
-def _check_lengths(obs: ObservationVector, dm: DesignMatrices) -> None:
-    n = obs.n_delay + obs.n_doppler
-    if dm.a2.shape != (n, 2) or dm.a1.shape != (n,):
+def _observations(peaks: PeakObservations, dm: DesignMatrices) -> np.ndarray:
+    """One trial's delays then Dopplers as one vector, checked against dm."""
+    d = np.asarray(peaks.delay_obs_s, dtype=np.float64).ravel()
+    p = np.asarray(peaks.dopp_obs_hz, dtype=np.float64).ravel()
+    if d.size == 0 or p.size == 0:
+        raise EstimationSetupError("need at least one delay and one Doppler observation, "
+                                   f"got {d.size} and {p.size}")
+    f = np.concatenate([d, p])
+    if not np.all(np.isfinite(f)):
+        raise EstimationSetupError("observations must be finite")
+    if dm.a2.shape != (f.size, 2) or dm.a1.shape != (f.size,):
         raise EstimationSetupError(
-            f"design matrices sized for {dm.a1.shape[0]} observations, "
-            f"got {n}"
-        )
+            f"design matrices sized for {dm.a1.shape[0]} observations, got {f.size}")
+    return f
 
 
-def estimate_h0(obs: ObservationVector, dm: DesignMatrices) -> Estimates:
+def estimate_h0(peaks: PeakObservations, dm: DesignMatrices) -> Estimates:
     """Three-parameter fit [R, v, f_cfo] under the false-target hypothesis."""
-    _check_lengths(obs, dm)
-    theta, rnorm = dm.h0.solve(obs.f)
+    theta, rnorm = dm.h0.solve(_observations(peaks, dm))
     return Estimates(r0_hat_m=float(theta[0]), v_hat_mps=float(theta[1]),
                      f_cfo_hat_hz=float(theta[2]), residual_norm=rnorm,
                      hypothesis="h0")
 
 
-def estimate_h1(obs: ObservationVector, dm: DesignMatrices) -> Estimates:
+def estimate_h1(peaks: PeakObservations, dm: DesignMatrices) -> Estimates:
     """Two-parameter fit [R, v] under the real-target hypothesis (no offset)."""
-    _check_lengths(obs, dm)
-    theta, rnorm = dm.h1.solve(obs.f)
+    theta, rnorm = dm.h1.solve(_observations(peaks, dm))
     return Estimates(r0_hat_m=float(theta[0]), v_hat_mps=float(theta[1]),
                      f_cfo_hat_hz=None, residual_norm=rnorm,
                      hypothesis="h1")
@@ -223,29 +207,26 @@ def _bounded(cfg: OfdmConfig, f_delay, r_m, v_mps):
     return np.where(v == v_mps, r_m, r), v
 
 
-def bounded_fits(cfg: OfdmConfig, obs: ObservationVector, est0: Estimates,
+def bounded_fits(cfg: OfdmConfig, peaks: PeakObservations, est0: Estimates,
                  est1: Estimates, genie_cfo_hz,
                  cfo_floor_hz: float) -> tuple[Estimates, Estimates, dict]:
     """(est0, est1, errors): the copies the templates are built from (see
     the module docstring), and by row the IllConditionedError of each
-    failed genie re-solve, whose est0 geometry is NaN. genie_cfo_hz is the
-    known offset, or None to estimate it; stacked observations f [B, n]
-    take stacks of fits and B offsets (NaN: estimate), each row its own."""
-    f_obs = obs.f.reshape(-1, obs.f.shape[-1])
-    f_delay = f_obs[:, :obs.n_delay]
-    r1, v1 = _bounded(cfg, f_delay, np.asarray(est1.r0_hat_m).reshape(-1),
-                      np.asarray(est1.v_hat_mps).reshape(-1))
-    f = ((f_obs[:, obs.n_delay:] - v1[:, None] * grid_constants(cfg).v_coef)
-         .sum(axis=-1) / obs.n_doppler) / (1.0 + 2.0 * v1 / C_LIGHT)
+    failed genie re-solve, whose est0 geometry is NaN. Row b of the B
+    stacked peaks ([B, m_symbols] and [B, k_active]) has fit b of each
+    stack and the known offset genie_cfo_hz[b] (NaN: estimate it)."""
+    f_delay, f_dopp = peaks.delay_obs_s, peaks.dopp_obs_hz
+    r1, v1 = _bounded(cfg, f_delay, est1.r0_hat_m, est1.v_hat_mps)
+    f = ((f_dopp - v1[:, None] * grid_constants(cfg).v_coef)
+         .sum(axis=-1) / f_dopp.shape[-1]) / (1.0 + 2.0 * v1 / C_LIGHT)
     f = np.where(np.abs(f) < cfo_floor_hz, 0.0, f)
-    genie = np.full(f.shape, np.nan if genie_cfo_hz is None else genie_cfo_hz)
+    genie = np.asarray(genie_cfo_hz, dtype=np.float64)
     known = ~np.isnan(genie)
     f = np.where(known, genie, f) + 0.0  # + 0.0: a zero of either sign is +0.0
     r0, v0, errors = r1.copy(), v1.copy(), {}
     rows = (known & (genie != 0.0)).nonzero()[0].tolist()
     if rows:  # re-solve the geometry with the known nonzero offset removed
-        rhs = f_obs[rows]
-        rhs[:, obs.n_delay:] -= f[rows, None]
+        rhs = np.concatenate([f_delay[rows], f_dopp[rows] - f[rows, None]], axis=-1)
         theta = np.full((len(rows), 2), np.nan)
         for i, row in enumerate(rows):
             try:
@@ -253,8 +234,6 @@ def bounded_fits(cfg: OfdmConfig, obs: ObservationVector, est0: Estimates,
             except IllConditionedError as exc:
                 errors[row] = exc
         r0[rows], v0[rows] = _bounded(cfg, f_delay[rows], *theta.T)
-    if obs.f.ndim == 1:
-        r0, v0, f, r1, v1 = (float(a[0]) for a in (r0, v0, f, r1, v1))
     return (Estimates(r0, v0, f, est0.residual_norm, est0.hypothesis),
             Estimates(r1, v1, est1.f_cfo_hat_hz, est1.residual_norm, est1.hypothesis),
             errors)

@@ -59,19 +59,13 @@ from .detector import (
 from .errors import ConfigurationError, OfdmJrcError
 from .estimator import (
     Estimates,
-    ObservationVector,
     bounded_fits,
     build_design_matrices,
     estimate_h0,
     estimate_h1,
 )
 from .grids import FreqGrid, SampleGrid
-from .rdmap import (
-    PeakObservations,
-    extract_peak_observations,
-    fast_time_dft,
-    remove_known_symbols,
-)
+from .rdmap import extract_peak_observations, fast_time_dft, remove_known_symbols
 from .waveform import FrameSymbols, OfdmConfig, generate_frame
 
 DEFAULT_CFO_FLOOR_HZ = 1.0
@@ -208,21 +202,17 @@ def _score(cfg, fg, scenarios, flags, mode, cfo_floor_hz, gamma_prime):
     fits = [no_peak.get(row) for row in range(len(scenarios))]
     for row in [row for row, fit in enumerate(fits) if fit is None]:
         try:
-            obs = ObservationVector.from_peaks(PeakObservations(
-                delay_obs_s=peaks.delay_obs_s[row],
-                dopp_obs_hz=peaks.dopp_obs_hz[row]))
-            fits[row] = estimate_h0(obs, dm), estimate_h1(obs, dm)
+            fits[row] = estimate_h0(peaks.take(row), dm), estimate_h1(peaks.take(row), dm)
         except OfdmJrcError as exc:
             fits[row] = exc
     # pair p is trial pairs[p][1] under flags[pairs[p][0]]
     pairs = [(f, row) for f in range(len(flags))
              for row, fit in enumerate(fits) if not isinstance(fit, Exception)]
-    obs = ObservationVector(f=np.concatenate([peaks.delay_obs_s, peaks.dopp_obs_hz], axis=-1)[
-        [row for _, row in pairs]], n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
     raw = [Estimates.stack([fits[row][i] for _, row in pairs], hyp)
            for i, hyp in enumerate(("h0", "h1"))]
     cfo = [scenarios[row].f_cfo_hz if flags[f] else np.nan for f, row in pairs]
-    b0, b1, errors = bounded_fits(cfg, obs, *raw, cfo, cfo_floor_hz)
+    b0, b1, errors = bounded_fits(cfg, peaks.take([row for _, row in pairs]), *raw,
+                                  cfo, cfo_floor_hz)
     # equal geometry and a zero offset: identical templates, T exactly 0
     zero = ((b0.f_cfo_hat_hz == 0.0) & (b0.r0_hat_m == b1.r0_hat_m)
             & (b0.v_hat_mps == b1.v_hat_mps))

@@ -137,6 +137,10 @@ class PeakObservations:
     delay_obs_s: np.ndarray
     dopp_obs_hz: np.ndarray
 
+    def take(self, rows) -> "PeakObservations":
+        """The observations at rows of a stack."""
+        return PeakObservations(self.delay_obs_s[rows], self.dopp_obs_hz[rows])
+
 
 def extract_peak_observations(fg: FreqGrid, cfg: OfdmConfig) -> tuple[PeakObservations, dict]:
     """(peaks, errors): coarse zero-padded peaks refined by Newton ascent,

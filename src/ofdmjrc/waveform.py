@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,15 @@ C_LIGHT = 299_792_458.0
 QPSK_ALPHABET = np.array(
     [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], dtype=np.complex128
 ) / np.sqrt(2.0)
+
+
+def check_fields(obj, names, kind, noun: str) -> None:
+    """Raise ConfigurationError unless each named field of obj is a kind
+    (numbers.Integral or numbers.Real); a bool is neither here."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +73,14 @@ def build_config(**kwargs) -> OfdmConfig:
     expected two-way Doppler shift by at least a factor of ten.
     """
     cfg = OfdmConfig(**kwargs)
+    check_fields(cfg, ("n_fft", "k_active", "n_pilot", "m_symbols", "zero_pad"),
+                 numbers.Integral, "an integer")
     for name in ("delta_f_hz", "f_c_hz", "v_max_mps"):
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigurationError(
-                f"{name} must be finite, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+        if value <= 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
     if cfg.n_fft < 2 or (cfg.n_fft & (cfg.n_fft - 1)) != 0:
         raise ConfigurationError(f"n_fft must be a power of two >= 2, got {cfg.n_fft}")
     if not 0 < cfg.k_active <= cfg.n_fft - 1:
@@ -79,10 +93,6 @@ def build_config(**kwargs) -> OfdmConfig:
         raise ConfigurationError(
             f"n_pilot must be in [0, k_active], got {cfg.n_pilot}"
         )
-    if cfg.delta_f_hz <= 0:
-        raise ConfigurationError(f"delta_f_hz must be positive, got {cfg.delta_f_hz}")
-    if cfg.f_c_hz <= 0:
-        raise ConfigurationError(f"f_c_hz must be positive, got {cfg.f_c_hz}")
     if cfg.m_symbols < 2:
         raise ConfigurationError(
             f"m_symbols must be >= 2 for slow-time processing, got {cfg.m_symbols}"
@@ -93,8 +103,6 @@ def build_config(**kwargs) -> OfdmConfig:
         raise ConfigurationError(
             f"peak_refine_tol must be in (0, 1), got {cfg.peak_refine_tol}"
         )
-    if cfg.v_max_mps <= 0:
-        raise ConfigurationError(f"v_max_mps must be positive, got {cfg.v_max_mps}")
     max_doppler = 2.0 * cfg.v_max_mps * cfg.f_c_hz / C_LIGHT
     if cfg.delta_f_hz < 10.0 * max_doppler:
         raise ConfigurationError(

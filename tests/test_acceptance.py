@@ -18,7 +18,7 @@ from ofdmjrc import (
     Decision,
     Estimates,
     MODE_AMPLITUDE,
-    ObservationVector,
+    PeakObservations,
     Scenario,
     TargetKind,
     build_config,
@@ -69,8 +69,7 @@ def test_criterion_1_noiseless_range_recovery(cfg):
     start = time.perf_counter()
     fg = _noiseless_freq_grid(cfg, scenario)
     peaks = extract_peak_observations(fg, cfg)[0]
-    obs = ObservationVector.from_peaks(peaks)
-    est = estimate_h1(obs, build_design_matrices(cfg))
+    est = estimate_h1(peaks, build_design_matrices(cfg))
     elapsed = time.perf_counter() - start
 
     delay_err_ns = np.abs(peaks.delay_obs_s - 666.667e-9) * 1e9
@@ -86,7 +85,7 @@ def test_criterion_1_noiseless_range_recovery(cfg):
 def test_criterion_2_noiseless_offset_recovery(cfg):
     scenario = replace(_BASE_FALSE, v_mps=0.0, snr_db=np.inf)
     fg = _noiseless_freq_grid(cfg, scenario)
-    obs = ObservationVector.from_peaks(extract_peak_observations(fg, cfg)[0])
+    obs = extract_peak_observations(fg, cfg)[0]
     dm = build_design_matrices(cfg)
     est0 = estimate_h0(obs, dm)
     est1 = estimate_h1(obs, dm)
@@ -129,12 +128,10 @@ def test_criterion_4_nested_fits_order_residuals(cfg):
     rng = np.random.default_rng(4)
     violations = 0
     for _ in range(1000):
-        f = np.concatenate([
-            rng.uniform(0.0, cfg.t_sym_s, cfg.m_symbols),
-            rng.normal(0.0, 50e3, cfg.k_active),
-        ])
-        obs = ObservationVector(f=f, n_delay=cfg.m_symbols,
-                                n_doppler=cfg.k_active)
+        obs = PeakObservations(
+            delay_obs_s=rng.uniform(0.0, cfg.t_sym_s, cfg.m_symbols),
+            dopp_obs_hz=rng.normal(0.0, 50e3, cfg.k_active),
+        )
         r0 = estimate_h0(obs, dm).residual_norm
         r1 = estimate_h1(obs, dm).residual_norm
         if r1 < r0 - 1e-10 * max(1.0, r0):

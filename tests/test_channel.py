@@ -101,6 +101,25 @@ def test_scenario_rejects_nan(field):
         _false_scenario(**{field: np.nan})
 
 
+@pytest.mark.parametrize("seed", [1.5, 3.0, True, "7"])
+def test_scenario_rejects_a_non_integer_seed(seed):
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        _false_scenario(seed=seed)
+
+
+@pytest.mark.parametrize("field", ["r0_m", "v_mps", "f_cfo_hz",
+                                   "sigma_rcs_m2", "snr_db"])
+@pytest.mark.parametrize("value", ["9", None, 1j, False])
+def test_scenario_rejects_a_non_real_number(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be a real number"):
+        _false_scenario(**{field: value})
+
+
+def test_scenario_takes_numpy_numbers():
+    sc = _false_scenario(seed=np.uint32(4), r0_m=np.float32(50.0), snr_db=np.int64(3))
+    assert (sc.seed, sc.r0_m, sc.snr_db) == (4, 50.0, 3.0)
+
+
 def test_scenario_rejects_infinite_values_but_noiseless_snr():
     for field in ("r0_m", "v_mps", "f_cfo_hz", "sigma_rcs_m2"):
         with pytest.raises(ConfigurationError, match=field):

@@ -8,22 +8,27 @@ from hypothesis import strategies as st
 from ofdmjrc import (
     EstimationSetupError,
     IllConditionedError,
-    ObservationVector,
+    PeakObservations,
     build_config,
     build_design_matrices,
     estimate_h0,
     estimate_h1,
 )
 from ofdmjrc import active_subcarriers, synth_templates
-from ofdmjrc.estimator import ScaledLs, bounded_fits
+from ofdmjrc.estimator import Estimates, ScaledLs, bounded_fits
 from ofdmjrc.waveform import C_LIGHT, grid_constants
+
+
+def _peaks(cfg, f):
+    # delays then Dopplers, stacked as the design's rows are
+    return PeakObservations(delay_obs_s=f[:cfg.m_symbols], dopp_obs_hz=f[cfg.m_symbols:])
 
 
 def _obs_from_params(cfg, dm, r0, v, f_cfo):
     # forward model of the linearized observation stack
     theta = np.array([r0, v, f_cfo])
     f = np.column_stack([dm.a2, dm.a1]) @ theta
-    return ObservationVector(f=f, n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    return _peaks(cfg, f)
 
 
 def test_design_matrix_layout(cfg):
@@ -105,8 +110,7 @@ def test_offset_fit_handles_full_cross_term(cfg):
     delays = 2.0 * r0 / C_LIGHT - two_v_c * m_idx * cfg.t_sym_s
     dopps = (cfg.f_c_hz + f_cfo) * two_v_c + f_cfo \
         + k_idx * cfg.delta_f_hz * two_v_c
-    obs = ObservationVector(f=np.concatenate([delays, dopps]),
-                            n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    obs = PeakObservations(delay_obs_s=delays, dopp_obs_hz=dopps)
     est = estimate_h0(obs, dm)
     # cross term f_cfo*2v/c biases the offset by well under a hertz
     assert abs(est.f_cfo_hat_hz - f_cfo) < 0.01
@@ -124,8 +128,8 @@ def test_no_offset_fit_absorbs_offset_into_velocity(cfg):
 
 def test_zero_observations_give_zero_estimates(cfg):
     dm = build_design_matrices(cfg)
-    obs = ObservationVector(f=np.zeros(cfg.m_symbols + cfg.k_active),
-                            n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    obs = PeakObservations(delay_obs_s=np.zeros(cfg.m_symbols),
+                           dopp_obs_hz=np.zeros(cfg.k_active))
     for est in (estimate_h0(obs, dm), estimate_h1(obs, dm)):
         assert est.r0_hat_m == 0.0
         assert est.v_hat_mps == 0.0
@@ -142,7 +146,7 @@ def test_nested_models_order_residuals(cfg):
             rng.uniform(0.0, cfg.t_sym_s, cfg.m_symbols),
             rng.normal(0.0, 50e3, cfg.k_active),
         ])
-        obs = ObservationVector(f=f, n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+        obs = _peaks(cfg, f)
         gap = estimate_h1(obs, dm).residual_norm - estimate_h0(obs, dm).residual_norm
         worst = min(worst, gap)
     # dropping a free parameter can never reduce the residual
@@ -157,7 +161,7 @@ def test_residual_ordering_survives_scaling(scale, seed):
     dm = build_design_matrices(cfg)
     rng = np.random.default_rng(seed)
     f = scale * rng.standard_normal(cfg.m_symbols + cfg.k_active)
-    obs = ObservationVector(f=f, n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    obs = _peaks(cfg, f)
     r0 = estimate_h0(obs, dm).residual_norm
     r1 = estimate_h1(obs, dm).residual_norm
     assert r1 >= r0 - 1e-9 * max(r1, 1.0)
@@ -167,10 +171,9 @@ def test_estimates_shift_with_observation_offsets(cfg):
     dm = build_design_matrices(cfg)
     rng = np.random.default_rng(3)
     f = rng.standard_normal(cfg.m_symbols + cfg.k_active) * 1e-5
-    obs_a = ObservationVector(f=f, n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    obs_a = _peaks(cfg, f)
     shift = 37.5
-    obs_b = ObservationVector(f=f + dm.a2[:, 0] * shift,
-                              n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    obs_b = _peaks(cfg, f + dm.a2[:, 0] * shift)
     est_a = estimate_h0(obs_a, dm)
     est_b = estimate_h0(obs_b, dm)
     assert est_b.r0_hat_m - est_a.r0_hat_m == pytest.approx(shift, abs=1e-6)
@@ -196,31 +199,16 @@ def test_solver_flags_rank_deficiency():
 
 
 def test_observation_vector_validation(cfg):
-    from ofdmjrc.rdmap import PeakObservations
-
-    with pytest.raises(EstimationSetupError):
-        ObservationVector.from_peaks(PeakObservations(
-            delay_obs_s=np.array([]), dopp_obs_hz=np.array([1.0])))
-    with pytest.raises(EstimationSetupError):
-        ObservationVector.from_peaks(PeakObservations(
-            delay_obs_s=np.array([1e-6]), dopp_obs_hz=np.array([np.nan])))
     dm = build_design_matrices(cfg)
-    short = ObservationVector(f=np.zeros(5), n_delay=3, n_doppler=2)
-    with pytest.raises(EstimationSetupError):
+    with pytest.raises(EstimationSetupError, match="got 0 and 1"):
+        estimate_h0(PeakObservations(
+            delay_obs_s=np.array([]), dopp_obs_hz=np.array([1.0])), dm)
+    with pytest.raises(EstimationSetupError, match="must be finite"):
+        estimate_h1(PeakObservations(
+            delay_obs_s=np.array([1e-6]), dopp_obs_hz=np.array([np.nan])), dm)
+    short = PeakObservations(delay_obs_s=np.zeros(3), dopp_obs_hz=np.zeros(2))
+    with pytest.raises(EstimationSetupError, match="sized for 62 observations, got 5"):
         estimate_h0(short, dm)
-
-
-def test_from_peaks_round_trip(cfg):
-    from ofdmjrc.rdmap import PeakObservations
-
-    peaks = PeakObservations(delay_obs_s=np.full(cfg.m_symbols, 1e-6),
-                             dopp_obs_hz=np.full(cfg.k_active, 5e3))
-    obs = ObservationVector.from_peaks(peaks)
-    assert obs.n_delay == cfg.m_symbols
-    assert obs.n_doppler == cfg.k_active
-    assert obs.f.shape == (cfg.m_symbols + cfg.k_active,)
-    np.testing.assert_array_equal(obs.f[:cfg.m_symbols], 1e-6)
-    np.testing.assert_array_equal(obs.f[cfg.m_symbols:], 5e3)
 
 
 def _fits(cfg, r0, v, f_cfo):
@@ -229,13 +217,22 @@ def _fits(cfg, r0, v, f_cfo):
     return obs, estimate_h0(obs, dm), estimate_h1(obs, dm)
 
 
+def _bounded_one(cfg, obs, est0, est1, genie_cfo_hz, cfo_floor_hz):
+    # bounded_fits on a stack of one trial, its row taken back out
+    b0, b1, errors = bounded_fits(
+        cfg, PeakObservations(obs.delay_obs_s[None], obs.dopp_obs_hz[None]),
+        Estimates.stack([est0], "h0"), Estimates.stack([est1], "h1"),
+        [np.nan if genie_cfo_hz is None else genie_cfo_hz], cfo_floor_hz)
+    return b0.take(0), b1.take(0), errors
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_bounded_fit_clamps_velocity_and_resolves_range_from_delay_rows(cfg,
                                                                         sign):
     # a 10 kHz offset read as velocity is about 300 m/s, past v_max
     obs, est0, est1 = _fits(cfg, 100.0, 0.0, sign * 10e3)
     assert abs(est1.v_hat_mps) > cfg.v_max_mps
-    _, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    _, b1, _ = _bounded_one(cfg, obs, est0, est1, None, 1.0)
     assert b1.v_hat_mps == sign * cfg.v_max_mps
     # the delay rows hold 2R/c for every symbol; under v they read
     # R + v * mean(m * t_sym)
@@ -244,17 +241,16 @@ def test_bounded_fit_clamps_velocity_and_resolves_range_from_delay_rows(cfg,
         100.0 + sign * cfg.v_max_mps * m_t.mean(), rel=1e-9)
     assert b1.r0_hat_m != pytest.approx(est1.r0_hat_m, rel=1e-9)
     # the Doppler rows do not enter the re-solved range
-    f = obs.f.copy()
-    f[cfg.m_symbols:] += sign * 500.0
-    moved = ObservationVector(f=f, n_delay=obs.n_delay, n_doppler=obs.n_doppler)
-    _, b1_moved, _ = bounded_fits(cfg, moved, est0, est1, None, 1.0)
+    moved = PeakObservations(delay_obs_s=obs.delay_obs_s,
+                             dopp_obs_hz=obs.dopp_obs_hz + sign * 500.0)
+    _, b1_moved, _ = _bounded_one(cfg, moved, est0, est1, None, 1.0)
     assert b1_moved.r0_hat_m == b1.r0_hat_m
     assert (b1.f_cfo_hat_hz, b1.residual_norm) == (None, est1.residual_norm)
 
 
 def test_bounded_fit_keeps_an_in_bound_geometry_bit_for_bit(cfg):
     obs, est0, est1 = _fits(cfg, 250.0, -30.0, 0.0)
-    b0, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    b0, b1, _ = _bounded_one(cfg, obs, est0, est1, None, 1.0)
     assert b1.r0_hat_m.hex() == est1.r0_hat_m.hex()
     assert b1.v_hat_mps.hex() == est1.v_hat_mps.hex()
     assert b1 == est1
@@ -265,12 +261,12 @@ def test_bounded_fit_keeps_an_in_bound_geometry_bit_for_bit(cfg):
 def test_an_offset_below_the_floor_is_exactly_zero(cfg):
     # at v = v_max, h1 cannot absorb the 0.5 Hz into a faster velocity
     obs, est0, est1 = _fits(cfg, 100.0, cfg.v_max_mps, 0.5)
-    b0, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    b0, b1, _ = _bounded_one(cfg, obs, est0, est1, None, 1.0)
     assert b0.f_cfo_hat_hz == 0.0
     tp = synth_templates(cfg, b0, b1)
     np.testing.assert_array_equal(tp.u0, tp.u1)
     # a floor below the offset lets it through
-    b0, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 0.1)
+    b0, b1, _ = _bounded_one(cfg, obs, est0, est1, None, 0.1)
     assert b0.f_cfo_hat_hz == pytest.approx(0.5, abs=0.05)
     tp = synth_templates(cfg, b0, b1)
     assert not np.array_equal(tp.u0, tp.u1)
@@ -282,21 +278,63 @@ def test_genie_offsets_fit_the_geometry_with_that_offset_removed(cfg):
     k_hz = active_subcarriers(cfg) * cfg.delta_f_hz
     two_v_c = 2.0 * v / C_LIGHT
     # exact Doppler, with the velocity-offset cross term
-    f = np.concatenate([2.0 * r0 / C_LIGHT - two_v_c * m_t,
-                        (cfg.f_c_hz + f_cfo + k_hz) * two_v_c + f_cfo])
-    obs = ObservationVector(f=f, n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    obs = PeakObservations(delay_obs_s=2.0 * r0 / C_LIGHT - two_v_c * m_t,
+                           dopp_obs_hz=(cfg.f_c_hz + f_cfo + k_hz) * two_v_c + f_cfo)
     dm = build_design_matrices(cfg)
     est0, est1 = estimate_h0(obs, dm), estimate_h1(obs, dm)
-    _, b1, _ = bounded_fits(cfg, obs, est0, est1, None, 1.0)
+    _, b1, _ = _bounded_one(cfg, obs, est0, est1, None, 1.0)
     assert b1.v_hat_mps == cfg.v_max_mps  # h1 reads the offset as speed
     # a zero genie offset, of either sign, is h1's bounded geometry
     for zero in (0.0, -0.0):
-        b0, _, _ = bounded_fits(cfg, obs, est0, est1, zero, 1.0)
+        b0, _, _ = _bounded_one(cfg, obs, est0, est1, zero, 1.0)
         assert (b0.r0_hat_m, b0.v_hat_mps, b0.f_cfo_hat_hz) == (
             b1.r0_hat_m, b1.v_hat_mps, 0.0)
         assert np.copysign(1.0, b0.f_cfo_hat_hz) == 1.0
     # the true offset leaves the true geometry
-    b0, _, _ = bounded_fits(cfg, obs, est0, est1, f_cfo, 1.0)
+    b0, _, _ = _bounded_one(cfg, obs, est0, est1, f_cfo, 1.0)
     assert b0.f_cfo_hat_hz == f_cfo
     assert b0.r0_hat_m == pytest.approx(r0, rel=1e-5)
     assert b0.v_hat_mps == pytest.approx(v, rel=1e-6)
+
+
+def test_each_row_of_a_mixed_stack_is_that_row_conditioned_alone(cfg, monkeypatch):
+    import ofdmjrc.estimator
+
+    solver = ofdmjrc.estimator._genie_solver
+
+    def refuse(c, f_cfo_hz):
+        if f_cfo_hz == 20e3:
+            raise IllConditionedError("refused", condition=np.inf)
+        return solver(c, f_cfo_hz)
+
+    monkeypatch.setattr(ofdmjrc.estimator, "_genie_solver", refuse)
+    # (r0, v, f_cfo, genie offset or NaN to estimate it)
+    rows = [(100.0, 0.0, 10e3, np.nan),  # estimated, velocity clamped
+            (250.0, -30.0, 0.0, np.nan),  # estimated, in bound
+            (100.0, cfg.v_max_mps, 0.5, np.nan),  # estimated, below the floor
+            (100.0, 10.0, 10e3, 0.0),
+            (100.0, 10.0, 10e3, -0.0),
+            (100.0, 10.0, 10e3, 10e3),
+            (80.0, 5.0, 20e3, 20e3),  # its re-solve fails
+            (60.0, -5.0, -7e3, -7e3)]
+    alone = [_fits(cfg, r0, v, f_cfo) for r0, v, f_cfo, _ in rows]
+    genie = np.array([g for *_, g in rows])
+    peaks = PeakObservations(np.stack([obs.delay_obs_s for obs, _, _ in alone]),
+                             np.stack([obs.dopp_obs_hz for obs, _, _ in alone]))
+    raw = [Estimates.stack([fit[i] for fit in alone], hyp)
+           for i, hyp in ((1, "h0"), (2, "h1"))]
+    b0, b1, errors = bounded_fits(cfg, peaks, *raw, genie, 1.0)
+
+    def bits(est):
+        return [a.tobytes() if isinstance(a, np.ndarray) else a
+                for a in vars(est).values()]
+
+    assert list(errors) == [6] and str(errors[6]) == "refused"
+    assert np.isnan([b0.r0_hat_m[6], b0.v_hat_mps[6]]).all()
+    assert np.copysign(1.0, b0.f_cfo_hat_hz[3:5]).tolist() == [1.0, 1.0]
+    for row in range(len(rows)):
+        one = bounded_fits(cfg, peaks.take([row]), *(e.take([row]) for e in raw),
+                           genie[[row]], 1.0)
+        assert bits(b0.take([row])) == bits(one[0]), row
+        assert bits(b1.take([row])) == bits(one[1]), row
+        assert list(one[2]) == ([0] if row == 6 else [])

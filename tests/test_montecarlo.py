@@ -15,7 +15,7 @@ from ofdmjrc import (
     FreqGrid,
     IllConditionedError,
     NoPeakError,
-    ObservationVector,
+    PeakObservations,
     Scenario,
     SampleGrid,
     SingularityError,
@@ -304,8 +304,8 @@ def test_ill_conditioned_config_invalidates_every_trial():
     # velocity from offset: the scaled h0 design has condition ~1.7e12.
     cfg = build_config(f_c_hz=4e18, v_max_mps=1e-6)
     dm = build_design_matrices(cfg)
-    obs = ObservationVector(f=np.zeros(cfg.m_symbols + cfg.k_active),
-                            n_delay=cfg.m_symbols, n_doppler=cfg.k_active)
+    obs = PeakObservations(delay_obs_s=np.zeros(cfg.m_symbols),
+                           dopp_obs_hz=np.zeros(cfg.k_active))
     with pytest.raises(IllConditionedError) as ill:
         estimate_h0(obs, dm)
     base = replace(_FALSE, v_mps=0.0)

@@ -53,6 +53,29 @@ def test_build_config_rejects_non_finite_values(field, value):
         build_config(**{field: value})
 
 
+_INT_FIELDS = ["n_fft", "k_active", "n_pilot", "m_symbols", "zero_pad"]
+
+
+@pytest.mark.parametrize("field", _INT_FIELDS)
+@pytest.mark.parametrize("kind", ["float", "bool"])
+def test_build_config_rejects_non_integer_counts(field, kind):
+    value = getattr(build_config(), field)
+    bad = float(value) if kind == "float" else True
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        build_config(**{field: bad})
+
+
+@pytest.mark.parametrize("field", _INT_FIELDS)
+def test_build_config_takes_numpy_integer_counts(field):
+    value = getattr(build_config(), field)
+    assert build_config(**{field: np.int64(value)}) == build_config()
+
+
+def test_build_config_rejects_a_fractional_zero_pad():
+    with pytest.raises(ConfigurationError, match="zero_pad must be an integer, got 2.5"):
+        build_config(zero_pad=2.5)
+
+
 def test_build_config_enforces_narrowband_margin():
     # max Doppler shift across the band must stay well under one bin spacing
     limit = build_config().delta_f_hz * C_LIGHT / (10.0 * 2.0 * 5e9)
