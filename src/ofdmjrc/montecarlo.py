@@ -34,6 +34,7 @@ statistic is exactly 0.0 and is set without building them.
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 from dataclasses import dataclass, replace
 
@@ -314,25 +315,48 @@ def run_trial_with_grids(cfg: OfdmConfig, scenario: Scenario,
     return records[0][0], (*fronts[0], FreqGrid(y_tilde=fg.y_tilde[0]))
 
 
-_WORKER_RUN = None  # cfg and _run_batch's trailing arguments, set per pool worker
+_POOL = None  # (size, executor): the pool parallel sweeps reuse; see _pooled
 
 
-def _init_worker(*run) -> None:
-    global _WORKER_RUN
-    _WORKER_RUN = run
+def _worker_batch(task) -> list[list[TrialRecord]]:
+    return _run_batch(task[0], task[1], *task[2])[0]
 
 
-def _worker_batch(scenarios) -> list[list[TrialRecord]]:
-    return _run_batch(_WORKER_RUN[0], scenarios, *_WORKER_RUN[1:])[0]
+@atexit.register
+def _close_pool() -> None:
+    global _POOL
+    if _POOL is not None:
+        _POOL[1].shutdown()
+        _POOL = None
+
+
+def _pooled(tasks, size: int, per_call: int) -> list:
+    """_worker_batch of each task, in order, on the kept pool of size
+    workers; a pool of another size is shut down and replaced. A broken
+    pool is dropped: a kept one (a worker died since the last sweep) gives
+    way to a fresh one, and a fresh one raises its BrokenProcessPool."""
+    global _POOL
+    kept = _POOL is not None and _POOL[0] == size
+    for fresh in ((False, True) if kept else (True,)):
+        if fresh:
+            _close_pool()
+            _POOL = size, concurrent.futures.ProcessPoolExecutor(size)
+        try:
+            return list(_POOL[1].map(_worker_batch, tasks, chunksize=per_call))
+        except concurrent.futures.process.BrokenProcessPool:
+            _close_pool()
+            if fresh:
+                raise
 
 
 def _run_many(cfg: OfdmConfig, scenarios, flags, mode: str,
               cfo_floor_hz: float, workers: int) -> list[list[TrialRecord]]:
     """Records of every scenario under each flag, run in the fewest chunks
     of at most batch_size(cfg), cut by position into sizes within one of
-    each other, so the batches never depend on the worker count. One pool
-    of at most one worker per chunk serves every flag; each worker gets
-    cfg once and keeps its per-config caches."""
+    each other, so the batches never depend on the worker count. Several
+    chunks and workers run on one pool of min(workers, chunks) processes,
+    kept for later sweeps of that size (see _pooled); a task carries its
+    cfg, so the workers' per-config caches last across sweeps."""
     n = -(-len(scenarios) // batch_size(cfg))
     cuts = [len(scenarios) * i // n for i in range(n + 1)]
     chunks = [scenarios[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -341,10 +365,8 @@ def _run_many(cfg: OfdmConfig, scenarios, flags, mode: str,
     if workers <= 1:
         batches = [_run_batch(cfg, c, *run)[0] for c in chunks]
     else:
-        per_call = max(1, len(chunks) // (workers * 4))
-        with concurrent.futures.ProcessPoolExecutor(
-                workers, initializer=_init_worker, initargs=(cfg, *run)) as pool:
-            batches = list(pool.map(_worker_batch, chunks, chunksize=per_call))
+        batches = _pooled([(cfg, c, run) for c in chunks], workers,
+                          max(1, len(chunks) // (workers * 4)))
     return [[rec for batch in batches for rec in batch[f]]
             for f in range(len(flags))]
 

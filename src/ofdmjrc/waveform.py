@@ -75,6 +75,8 @@ def build_config(**kwargs) -> OfdmConfig:
     cfg = OfdmConfig(**kwargs)
     check_fields(cfg, ("n_fft", "k_active", "n_pilot", "m_symbols", "zero_pad"),
                  numbers.Integral, "an integer")
+    check_fields(cfg, ("delta_f_hz", "f_c_hz", "v_max_mps", "peak_refine_tol"),
+                 numbers.Real, "a real number")
     for name in ("delta_f_hz", "f_c_hz", "v_max_mps"):
         value = getattr(cfg, name)
         if not math.isfinite(value):

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,6 +41,11 @@ from ofdmjrc import (
     wilson_interval,
     write_roc_csv,
 )
+
+# `python -c` imports the package from this checkout's src
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH", "")) if p))
 
 _FALSE = Scenario(kind=TargetKind.FALSE_TARGET, r0_m=100.0, v_mps=10.0,
                   f_cfo_hz=10e3, sigma_rcs_m2=1.0, snr_db=9.0, seed=3)
@@ -504,13 +515,22 @@ class _SpyPool(concurrent.futures.ProcessPoolExecutor):
         super().__init__(max_workers, **kwargs)
 
     def map(self, fn, *iterables, **kwargs):
-        chunks = list(iterables[0])
-        self.items.extend(chunks)
-        return super().map(fn, chunks, **kwargs)
+        tasks = list(iterables[0])
+        self.items.extend(tasks)
+        return super().map(fn, tasks, **kwargs)
+
+
+@pytest.fixture
+def no_kept_pool():
+    """Close the pool parallel sweeps keep, before and after the test, so
+    its sweeps fork their own pool and no later test inherits it."""
+    mc._close_pool()
+    yield
+    mc._close_pool()
 
 
 def test_the_pool_gets_one_worker_per_chunk_at_most_and_tasks_carry_scenarios(
-        cfg, monkeypatch):
+        cfg, monkeypatch, no_kept_pool):
     monkeypatch.setattr(_SpyPool, "sizes", [])
     monkeypatch.setattr(_SpyPool, "items", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
@@ -521,8 +541,12 @@ def test_the_pool_gets_one_worker_per_chunk_at_most_and_tasks_carry_scenarios(
     pooled = mc._run_many(cfg, scenarios, flags, MODE_AMPLITUDE,
                           mc.DEFAULT_CFO_FLOOR_HZ, 6)
     assert _SpyPool.sizes == [2]
-    assert [len(c) for c in _SpyPool.items] == [mc.batch_size(cfg)] * 2
-    assert all(isinstance(sc, Scenario) for c in _SpyPool.items for sc in c)
+    # each task is (cfg, chunk of scenarios, the rest of _run_batch's arguments)
+    assert [len(chunk) for _, chunk, _ in _SpyPool.items] == [mc.batch_size(cfg)] * 2
+    assert all(isinstance(sc, Scenario) for _, chunk, _ in _SpyPool.items
+               for sc in chunk)
+    assert [(c, run) for c, _, run in _SpyPool.items] == [
+        (cfg, (flags, MODE_AMPLITUDE, mc.DEFAULT_CFO_FLOOR_HZ, 0.0))] * 2
     assert [[_bits(r) for r in recs] for recs in pooled] == \
         [[_bits(r) for r in recs] for recs in serial]
     # one chunk runs in this process, without a pool
@@ -546,7 +570,7 @@ def test_records_do_not_depend_on_the_sweep_batch_size(cfg, monkeypatch):
 
 
 def test_sweep_chunks_differ_by_at_most_one_and_ignore_the_worker_count(
-        cfg, monkeypatch):
+        cfg, monkeypatch, no_kept_pool):
     monkeypatch.setattr(_SpyPool, "sizes", [])
     monkeypatch.setattr(_SpyPool, "items", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SpyPool)
@@ -562,7 +586,80 @@ def test_sweep_chunks_differ_by_at_most_one_and_ignore_the_worker_count(
     for workers in (1, 2):
         mc._run_many(cfg, scenarios, (False,), MODE_AMPLITUDE,
                      mc.DEFAULT_CFO_FLOOR_HZ, workers)
-    assert serial == [len(c) for c in _SpyPool.items] == [5, 5, 6]
+    assert serial == [len(chunk) for _, chunk, _ in _SpyPool.items] == [5, 5, 6]
+
+
+def _worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _sweep_bits(cfg, scenarios, workers):
+    return [[_bits(r) for r in recs] for recs in mc._run_many(
+        cfg, scenarios, (False, True), MODE_AMPLITUDE, mc.DEFAULT_CFO_FLOOR_HZ,
+        workers)]
+
+
+def test_sweeps_of_one_size_reuse_the_workers_and_another_size_replaces_them(
+        cfg, no_kept_pool):
+    scenarios = _mixed_scenarios(3 * mc.batch_size(cfg), master_seed=47)
+    serial = _sweep_bits(cfg, scenarios, 1)
+    assert _worker_pids() == set()
+    assert _sweep_bits(cfg, scenarios, 2) == serial
+    pids = _worker_pids()
+    assert len(pids) == 2
+    assert _sweep_bits(cfg, scenarios, 2) == serial
+    assert _worker_pids() == pids
+    assert _sweep_bits(cfg, scenarios, 3) == serial
+    assert len(_worker_pids()) == 3 and not _worker_pids() & pids
+    assert not any(_alive(pid) for pid in pids)
+
+
+def test_a_sweep_after_a_kept_worker_is_killed_matches_the_serial_records(
+        cfg, no_kept_pool):
+    scenarios = _mixed_scenarios(2 * mc.batch_size(cfg), master_seed=53)
+    serial = _sweep_bits(cfg, scenarios, 1)
+    assert _sweep_bits(cfg, scenarios, 2) == serial
+    victim = min(_worker_pids())
+    os.kill(victim, signal.SIGKILL)
+    assert _sweep_bits(cfg, scenarios, 2) == serial
+    assert victim not in _worker_pids() and len(_worker_pids()) == 2
+
+
+def test_interpreter_exit_stops_the_kept_workers_and_prints_nothing():
+    code = (
+        "import multiprocessing\n"
+        "from ofdmjrc import Scenario, TargetKind, build_config, roc_sweep\n"
+        "roc_sweep(build_config(), [9.0], None, 40, (False, True),\n"
+        "          Scenario(kind=TargetKind.FALSE_TARGET), workers=2)\n"
+        "print(*sorted(p.pid for p in multiprocessing.active_children()))\n")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, env=_SRC_ENV, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    assert not any(_alive(pid) for pid in pids)
+
+
+@pytest.mark.parametrize("numerology", ["default", "large"])
+def test_a_serial_sweep_takes_no_cpu_beside_its_own_thread(numerology):
+    """Process CPU time counts every thread, the thread clock only the
+    caller's; a step that borrowed a BLAS thread would split them."""
+    cfg = build_config(**({} if numerology == "default" else _LARGE))
+    kw = dict(snr_db_list=[-5.0, 9.0], gamma_grid=None, genie=(False, True),
+              base_scenario=_FALSE, master_seed=59, workers=1)
+    roc_sweep(cfg, n_trials=4, **kw)  # per-config caches and lazy imports
+    process, thread = time.process_time(), time.thread_time()
+    roc_sweep(cfg, n_trials=60 if numerology == "default" else 8, **kw)
+    process, thread = time.process_time() - process, time.thread_time() - thread
+    assert process <= 1.25 * thread
 
 
 @pytest.mark.parametrize("workers", [0, -2])

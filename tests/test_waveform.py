@@ -71,6 +71,25 @@ def test_build_config_takes_numpy_integer_counts(field):
     assert build_config(**{field: np.int64(value)}) == build_config()
 
 
+_REAL_FIELDS = ["delta_f_hz", "f_c_hz", "v_max_mps", "peak_refine_tol"]
+
+
+@pytest.mark.parametrize("field", _REAL_FIELDS)
+@pytest.mark.parametrize("bad", ["312.5e3", None, True, 1j])
+def test_build_config_rejects_a_float_field_that_is_not_a_real_number(field, bad):
+    with pytest.raises(ConfigurationError) as info:
+        build_config(**{field: bad})
+    assert str(info.value) == f"{field} must be a real number, got {bad!r}"
+
+
+@pytest.mark.parametrize("field", _REAL_FIELDS)
+def test_build_config_takes_integer_and_numpy_reals(field):
+    value = getattr(build_config(), field)
+    assert build_config(**{field: np.float64(value)}) == build_config()
+    if float(value).is_integer():
+        assert build_config(**{field: int(value)}) == build_config()
+
+
 def test_build_config_rejects_a_fractional_zero_pad():
     with pytest.raises(ConfigurationError, match="zero_pad must be an integer, got 2.5"):
         build_config(zero_pad=2.5)
