@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -315,7 +317,8 @@ def run_trial_with_grids(cfg: OfdmConfig, scenario: Scenario,
     return records[0][0], (*fronts[0], FreqGrid(y_tilde=fg.y_tilde[0]))
 
 
-_POOL = None  # (size, executor): the pool parallel sweeps reuse; see _pooled
+_POOL = None  # (pid, size, executor): the pool parallel sweeps reuse; see _pooled
+_LOCK = threading.Lock()  # held by the sweep that uses or replaces _POOL
 
 
 def _worker_batch(task) -> list[list[TrialRecord]]:
@@ -325,28 +328,30 @@ def _worker_batch(task) -> list[list[TrialRecord]]:
 @atexit.register
 def _close_pool() -> None:
     global _POOL
-    if _POOL is not None:
-        _POOL[1].shutdown()
-        _POOL = None
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[2].shutdown()
+    _POOL = None
 
 
 def _pooled(tasks, size: int, per_call: int) -> list:
     """_worker_batch of each task, in order, on the kept pool of size
-    workers; a pool of another size is shut down and replaced. A broken
-    pool is dropped: a kept one (a worker died since the last sweep) gives
-    way to a fresh one, and a fresh one raises its BrokenProcessPool."""
+    workers, one sweep at a time. A pool of another size, or one a forked
+    child copied (its manager thread stayed in the parent), is replaced.
+    A broken pool is dropped: a kept one (a worker died since the last
+    sweep) gives way to a fresh one, and a fresh one raises."""
     global _POOL
-    kept = _POOL is not None and _POOL[0] == size
-    for fresh in ((False, True) if kept else (True,)):
-        if fresh:
-            _close_pool()
-            _POOL = size, concurrent.futures.ProcessPoolExecutor(size)
-        try:
-            return list(_POOL[1].map(_worker_batch, tasks, chunksize=per_call))
-        except concurrent.futures.process.BrokenProcessPool:
-            _close_pool()
+    with _LOCK:
+        kept = _POOL is not None and _POOL[:2] == (os.getpid(), size)
+        for fresh in ((False, True) if kept else (True,)):
             if fresh:
-                raise
+                _close_pool()
+                _POOL = os.getpid(), size, concurrent.futures.ProcessPoolExecutor(size)
+            try:
+                return list(_POOL[2].map(_worker_batch, tasks, chunksize=per_call))
+            except concurrent.futures.process.BrokenProcessPool:
+                _close_pool()
+                if fresh:
+                    raise
 
 
 def _run_many(cfg: OfdmConfig, scenarios, flags, mode: str,

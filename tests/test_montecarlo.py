@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import fields, replace
 
@@ -633,12 +634,62 @@ def test_a_sweep_after_a_kept_worker_is_killed_matches_the_serial_records(
     assert victim not in _worker_pids() and len(_worker_pids()) == 2
 
 
-def test_interpreter_exit_stops_the_kept_workers_and_prints_nothing():
-    code = (
+# the fork of a pool by one thread while the other sweeps is the point here
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_sweeps_of_two_sizes_from_two_threads_take_turns_on_the_pool(
+        cfg, no_kept_pool):
+    scenarios = _mixed_scenarios(3 * mc.batch_size(cfg), master_seed=61)
+    serial = _sweep_bits(cfg, scenarios, 1)
+    runs = {}
+
+    def sweeps(workers):
+        runs[workers] = [_sweep_bits(cfg, scenarios, workers) for _ in range(4)]
+
+    threads = [threading.Thread(target=sweeps, args=(w,)) for w in (2, 3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+    assert runs == {2: [serial] * 4, 3: [serial] * 4}
+
+
+_SWEEP_CODE = (
+    "import os, signal, sys\n"
+    "from ofdmjrc import Scenario, TargetKind, build_config, roc_sweep\n"
+    "def sweep(workers):\n"
+    "    return [(c.gamma.tobytes(), c.p_fa.tobytes(), c.p_d.tobytes()) for c in\n"
+    "            roc_sweep(build_config(), [9.0], None, 40, (False, True),\n"
+    "                      Scenario(kind=TargetKind.FALSE_TARGET), workers=workers)]\n")
+
+
+def test_a_child_forked_after_a_parallel_sweep_forks_its_own_pool():
+    """The child's copy of the kept pool has no manager thread; a sweep on
+    it would wait forever (the alarm ends such a child with -SIGALRM).
+    stderr is not checked: the child's multiprocessing exit hook reports
+    the parent's workers, which it lists as children but cannot join."""
+    code = _SWEEP_CODE + (
+        "serial = sweep(1)\n"
+        "assert sweep(2) == serial\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(60)\n"
+        "    sys.exit(0 if sweep(2) == serial else 3)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), sweep(2) == serial)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_SRC_ENV, timeout=180)
+    assert (proc.returncode, proc.stdout) == (0, "0 True\n")
+
+
+# A module that outlives the last garbage collection, here held from sys,
+# has its globals cleared after concurrent.futures.process's; an executor
+# freed only then runs its weakref callback on that cleared module.
+@pytest.mark.parametrize("keep", ["", "import ofdmjrc.montecarlo\n"
+                                      "sys.kept = ofdmjrc.montecarlo\n"],
+                         ids=["plain", "montecarlo-outlives-gc"])
+def test_interpreter_exit_stops_the_kept_workers_and_prints_nothing(keep):
+    code = _SWEEP_CODE + keep + (
         "import multiprocessing\n"
-        "from ofdmjrc import Scenario, TargetKind, build_config, roc_sweep\n"
-        "roc_sweep(build_config(), [9.0], None, 40, (False, True),\n"
-        "          Scenario(kind=TargetKind.FALSE_TARGET), workers=2)\n"
+        "sweep(2)\n"
         "print(*sorted(p.pid for p in multiprocessing.active_children()))\n")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           capture_output=True, text=True, env=_SRC_ENV, timeout=120)
