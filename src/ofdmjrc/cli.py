@@ -174,9 +174,9 @@ def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
                         help="master seed (unsigned 64-bit)")
     parser.add_argument("--out", default=".", help="output directory")
     if workers:
-        parser.add_argument("--workers", type=int,
-                            default=os.cpu_count() or 1,
-                            help="parallel worker processes")
+        parser.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0))
+                            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+                            help="parallel worker processes (default: usable CPUs)")
 
 
 def main(argv=None) -> int:

@@ -68,13 +68,11 @@ from .estimator import (
     estimate_h1,
 )
 from .grids import FreqGrid, SampleGrid
+from .rdmap import _WORKING_VALUES  # sizes batch_size's trial grids
 from .rdmap import extract_peak_observations, fast_time_dft, remove_known_symbols
 from .waveform import FrameSymbols, OfdmConfig, generate_frame
 
 DEFAULT_CFO_FLOOR_HZ = 1.0
-# Trial-grid values allowed per sweep batch (see batch_size); the padded
-# peak spectra are searched in cache-sized slices whatever the batch.
-_BATCH_VALUES = 1 << 14
 WILSON_Z = 1.959963984540054  # two-sided 95%
 ROC_HEADER = "snr_db,genie,gamma,p_fa,p_d,p_fa_lo,p_fa_hi,p_d_lo,p_d_hi,n_trials"
 
@@ -151,8 +149,8 @@ def trial_seed(master_seed: int, snr_idx: int, kind_idx: int,
 
 def batch_size(cfg: OfdmConfig) -> int:
     """Most trials per run_batch call in a sweep: the most whose grids,
-    B * k_active * m_symbols values, fit in _BATCH_VALUES."""
-    return max(1, _BATCH_VALUES // (cfg.k_active * cfg.m_symbols))
+    B * k_active * m_symbols values, fit in rdmap._WORKING_VALUES."""
+    return max(1, _WORKING_VALUES // (cfg.k_active * cfg.m_symbols))
 
 
 def _front_half(cfg: OfdmConfig, scenarios):
@@ -325,6 +323,24 @@ def _worker_batch(task) -> list[list[TrialRecord]]:
     return _run_batch(task[0], task[1], *task[2])[0]
 
 
+def _pin_worker(cpus) -> None:
+    """Pool initializer: pin this worker to the next CPU queued in cpus."""
+    os.sched_setaffinity(0, {cpus.get()})
+
+
+def _new_pool(size: int):
+    """A pool of size workers; where the platform can pin, worker i runs
+    only on CPU i (round-robin) of the caller's allowed set."""
+    if not hasattr(os, "sched_setaffinity"):
+        return concurrent.futures.ProcessPoolExecutor(size)
+    import multiprocessing
+    allowed, cpus = sorted(os.sched_getaffinity(0)), multiprocessing.SimpleQueue()
+    for i in range(size):
+        cpus.put(allowed[i % len(allowed)])
+    return concurrent.futures.ProcessPoolExecutor(size, initializer=_pin_worker,
+                                                  initargs=(cpus,))
+
+
 @atexit.register
 def _close_pool() -> None:
     global _POOL
@@ -335,17 +351,17 @@ def _close_pool() -> None:
 
 def _pooled(tasks, size: int, per_call: int) -> list:
     """_worker_batch of each task, in order, on the kept pool of size
-    workers, one sweep at a time. A pool of another size, or one a forked
-    child copied (its manager thread stayed in the parent), is replaced.
-    A broken pool is dropped: a kept one (a worker died since the last
-    sweep) gives way to a fresh one, and a fresh one raises."""
+    workers (see _new_pool), one sweep at a time. A pool of another size,
+    or one a forked child copied (its manager thread stayed in the
+    parent), is replaced. A broken pool is dropped: a kept one (a worker
+    died since the last sweep) gives way to a fresh one; a fresh one raises."""
     global _POOL
     with _LOCK:
         kept = _POOL is not None and _POOL[:2] == (os.getpid(), size)
         for fresh in ((False, True) if kept else (True,)):
             if fresh:
                 _close_pool()
-                _POOL = os.getpid(), size, concurrent.futures.ProcessPoolExecutor(size)
+                _POOL = os.getpid(), size, _new_pool(size)
             try:
                 return list(_POOL[2].map(_worker_batch, tasks, chunksize=per_call))
             except concurrent.futures.process.BrokenProcessPool:

@@ -29,7 +29,7 @@ from .grids import FreqGrid, SampleGrid, write_cells_csv
 from .waveform import C_LIGHT, FrameSymbols, OfdmConfig, grid_constants
 
 _DIVISION_FLOOR = 1.0e-6
-_SLICE_VALUES = 1 << 16  # padded complex values per coarse-search slice
+_WORKING_VALUES = 1 << 14  # complex values per sweep batch and per coarse slice
 
 
 def fast_time_dft(grid: SampleGrid, cfg: OfdmConfig) -> np.ndarray:
@@ -82,9 +82,10 @@ def _doppler_spectrum(cfg: OfdmConfig, rows: np.ndarray) -> np.ndarray:
 def _coarse_peaks(spectrum, cfg: OfdmConfig, rows: np.ndarray,
                   width: int) -> np.ndarray:
     """Argmax bin of |spectrum(cfg, rows)| per row of rows [R, L], taken
-    over slices of at most _SLICE_VALUES padded values (width per row),
-    so the spectrum stays in cache whatever R is."""
-    step = max(1, _SLICE_VALUES // width)
+    over slices of at most _WORKING_VALUES padded values (width per row):
+    no larger than a batch's own grids, so a slice reuses the pages the
+    allocator kept from the batch instead of faulting in fresh ones."""
+    step = max(1, _WORKING_VALUES // width)
     return np.concatenate([np.abs(spectrum(cfg, rows[i:i + step])).argmax(-1)
                            for i in range(0, len(rows), step)])
 

@@ -259,6 +259,20 @@ def test_roc_rejects_fewer_than_one_worker(tmp_path):
     assert not out.exists()
 
 
+def test_roc_workers_default_to_the_cpus_this_process_may_run_on(tmp_path,
+                                                                monkeypatch):
+    import ofdmjrc.cli
+
+    workers = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(ofdmjrc.cli, "cmd_roc",
+                        lambda *args: workers.append(args[-1]))
+    assert ofdmjrc.cli.main(["roc", "--out", str(tmp_path)]) == 0
+    assert workers == [3]
+
+
 def test_roc_rejects_a_negative_seed(tmp_path):
     out = tmp_path / "out"
     proc = _run("roc", "--seed", "-1", "--set", "mc.n_trials=2",

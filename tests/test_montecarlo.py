@@ -634,6 +634,44 @@ def test_a_sweep_after_a_kept_worker_is_killed_matches_the_serial_records(
     assert victim not in _worker_pids() and len(_worker_pids()) == 2
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU pinning and two allowed CPUs")
+def test_kept_workers_are_pinned_round_robin_to_the_callers_cpus(
+        cfg, no_kept_pool):
+    allowed = os.sched_getaffinity(0)
+    first, second = sorted(allowed)[:2]
+    scenarios = _mixed_scenarios(3 * mc.batch_size(cfg), master_seed=67)
+    serial = _sweep_bits(cfg, scenarios, 1)
+
+    def pinned():
+        cpus = [sorted(os.sched_getaffinity(pid)) for pid in _worker_pids()]
+        assert all(len(c) == 1 for c in cpus), cpus
+        return sorted(c[0] for c in cpus)
+
+    os.sched_setaffinity(0, {first, second})
+    try:
+        assert _sweep_bits(cfg, scenarios, 2) == serial
+        assert pinned() == [first, second]
+        assert os.sched_getaffinity(0) == {first, second}
+        assert _sweep_bits(cfg, scenarios, 3) == serial
+        assert pinned() == sorted([first, second, first])
+        assert os.sched_getaffinity(0) == {first, second}
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def test_import_loads_no_process_machinery():
+    """Pools are made on a parallel sweep's demand; importing the package
+    (what perfbench's setup_s times) imports neither module."""
+    code = ("import sys, ofdmjrc\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "       if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_SRC_ENV, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 # the fork of a pool by one thread while the other sweeps is the point here
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_sweeps_of_two_sizes_from_two_threads_take_turns_on_the_pool(

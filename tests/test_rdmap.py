@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,13 +29,18 @@ from ofdmjrc import (
 )
 from ofdmjrc.montecarlo import trial_grids
 from ofdmjrc.rdmap import (
-    _SLICE_VALUES,
+    _WORKING_VALUES,
     delay_axis_s,
     doppler_axis_hz,
     resolution_summary,
     write_rdmap_csv,
 )
 from ofdmjrc.waveform import C_LIGHT, grid_constants
+
+# `python -c` imports the package from this checkout's src
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+_SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH", "")) if p))
 
 _UNIT_GAIN = ChannelGain(g=1.0, big_g=1.0, h_eff=1.0)
 _LARGE = dict(n_fft=256, k_active=200, n_pilot=24, m_symbols=32, zero_pad=4)
@@ -168,11 +177,14 @@ def test_stacked_peaks_over_several_coarse_slices_match_each_grid_alone(
     cfg = build_config(**numerology)
     k, m = cfg.k_active, cfg.m_symbols
     # (rows per trial, rows per slice) of the delay and Doppler searches
-    searches = [(m, _SLICE_VALUES // (cfg.n_fft * cfg.zero_pad)),
-                (k, _SLICE_VALUES // (m * cfg.zero_pad))]
+    searches = [(m, _WORKING_VALUES // (cfg.n_fft * cfg.zero_pad)),
+                (k, _WORKING_VALUES // (m * cfg.zero_pad))]
     n = 2 * max(-(-step // rows) for rows, step in searches) + 1
-    for rows, step in searches:  # several slices, the last one partial
-        assert n * rows > 2 * step and (n * rows) % step
+    # several slices, the last one partial; where a slice holds a whole
+    # fraction of a trial's rows (the large delay search: 16 of 32) every
+    # stack ends on a full slice, and the slices cut through each trial
+    for rows, step in searches:
+        assert n * rows > 2 * step and ((n * rows) % step or rows > step)
     grids = _noisy_freq_grids(cfg, n)
     zero = n // 2  # an all-zero grid is reported and costs the others nothing
     grids[zero] = FreqGrid(y_tilde=np.zeros((k, m), dtype=np.complex128))
@@ -190,6 +202,47 @@ def test_stacked_peaks_over_several_coarse_slices_match_each_grid_alone(
             assert none == {}
             assert stacked.delay_obs_s[row].tobytes() == alone.delay_obs_s.tobytes()
             assert stacked.dopp_obs_hz[row].tobytes() == alone.dopp_obs_hz.tobytes()
+
+
+# Runs five batch_size(cfg) batches through run_batch and prints the
+# minor faults per trial that _coarse_peaks took in each.
+_FAULTS_CODE = """
+import json, resource
+from ofdmjrc import Scenario, TargetKind, build_config, rdmap, run_batch
+from ofdmjrc.montecarlo import batch_size
+cfg = build_config()
+n = batch_size(cfg)
+coarse, faults = rdmap._coarse_peaks, [0]
+def counted(*args):
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    try:
+        return coarse(*args)
+    finally:
+        faults[0] += resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+rdmap._coarse_peaks = counted
+per_call = []
+for call in range(5):
+    faults[0] = 0
+    run_batch(cfg, [Scenario(kind=TargetKind.FALSE_TARGET, v_mps=10.0,
+                             snr_db=(-5.0, 9.0)[i % 2], seed=100 * call + i)
+                    for i in range(n)])
+    per_call.append(faults[0] / n)
+print(json.dumps(per_call))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux only")
+def test_the_coarse_search_reuses_its_pages_across_batches():
+    """A fresh interpreter's allocator is as cold as a kept pool worker's.
+    Slices of 2^16 values took about 75 faults per trial here. Only the
+    default numerology is held to the budget: the count on the 256/200/32
+    grid, and in a loop of bare extract_peak_observations calls, depends
+    on the heap's history (see ROADMAP)."""
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_CODE],
+                          capture_output=True, text=True, env=_SRC_ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    per_call = json.loads(proc.stdout)
+    assert len(per_call) == 5 and max(per_call[1:]) <= 10, per_call
 
 
 def test_peak_observations_recover_static_delay(cfg):
