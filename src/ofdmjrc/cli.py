@@ -27,7 +27,7 @@ from .configio import (
 )
 from .errors import ConfigurationError, OfdmJrcError, PipelineError
 from .grids import write_cells_csv
-from .montecarlo import roc_sweep, run_trial_with_grids, write_roc_csv
+from .montecarlo import roc_sweep, run_trial_with_grids, usable_cpus, write_roc_csv
 # perfbench's traced export run wraps these names in this module; simulate
 # gets its record and grids from run_trial_with_grids in one pass.
 from .montecarlo import run_trial
@@ -174,8 +174,7 @@ def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
                         help="master seed (unsigned 64-bit)")
     parser.add_argument("--out", default=".", help="output directory")
     if workers:
-        parser.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0))
-                            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+        parser.add_argument("--workers", type=int, default=len(usable_cpus()),
                             help="parallel worker processes (default: usable CPUs)")
 
 
@@ -215,7 +214,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigurationError) else 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -174,15 +174,12 @@ def snr_list_from(cfg_map: dict[str, object]) -> list[float]:
 def genie_flags_from(cfg_map: dict[str, object]) -> list[bool]:
     """Which estimation modes to sweep: estimated first, then genie."""
     value = str(cfg_map["mc.genie"])
-    if value == "both":
-        return [False, True]
-    if value == "estimated":
-        return [False]
-    if value == "genie":
-        return [True]
-    raise ConfigurationError(
-        f"mc.genie must be both|estimated|genie, got {value!r}"
-    )
+    flags = {"both": [False, True], "estimated": [False], "genie": [True]}
+    if value not in flags:
+        raise ConfigurationError(
+            f"mc.genie must be both|estimated|genie, got {value!r}"
+        )
+    return flags[value]
 
 
 @dataclass(frozen=True)

@@ -323,18 +323,27 @@ def _worker_batch(task) -> list[list[TrialRecord]]:
     return _run_batch(task[0], task[1], *task[2])[0]
 
 
+def usable_cpus() -> list[int]:
+    """The CPUs this process may run on, in ascending order."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def _pin_worker(cpus) -> None:
     """Pool initializer: pin this worker to the next CPU queued in cpus."""
     os.sched_setaffinity(0, {cpus.get()})
 
 
 def _new_pool(size: int):
-    """A pool of size workers; where the platform can pin, worker i runs
-    only on CPU i (round-robin) of the caller's allowed set."""
-    if not hasattr(os, "sched_setaffinity"):
+    """A pool of size workers. A pool with a worker for every usable CPU
+    is pinned where the platform can: worker i runs only on CPU i
+    (round-robin) of them. A smaller pool is left to the scheduler."""
+    allowed = usable_cpus()
+    if size < len(allowed) or not hasattr(os, "sched_setaffinity"):
         return concurrent.futures.ProcessPoolExecutor(size)
     import multiprocessing
-    allowed, cpus = sorted(os.sched_getaffinity(0)), multiprocessing.SimpleQueue()
+    cpus = multiprocessing.SimpleQueue()
     for i in range(size):
         cpus.put(allowed[i % len(allowed)])
     return concurrent.futures.ProcessPoolExecutor(size, initializer=_pin_worker,

@@ -90,11 +90,8 @@ def render_roc_svg(path, groups) -> None:
         f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{PLOT_W:.2f}" '
         f'height="{PLOT_H:.2f}" fill="none" stroke="#404040"/>'
     )
-    diag0 = _px(0.0, 0.0)
-    diag1 = _px(1.0, 1.0)
     parts.append(
-        f'<line x1="{diag0[0]:.2f}" y1="{diag0[1]:.2f}" '
-        f'x2="{diag1[0]:.2f}" y2="{diag1[1]:.2f}" '
+        f'<line x1="{x0:.2f}" y1="{y1:.2f}" x2="{x1:.2f}" y2="{y0:.2f}" '
         'stroke="#c0c0c0" stroke-dasharray="3 3"/>'
     )
     for i in range(6):

@@ -128,8 +128,6 @@ def active_subcarriers(cfg: OfdmConfig) -> np.ndarray:
 
 def pilot_positions(cfg: OfdmConfig) -> np.ndarray:
     """Positions (into the active set) of pilot tones, spread edge to edge."""
-    if cfg.n_pilot == 0:
-        return np.array([], dtype=np.int64)
     pos = np.round(np.linspace(0, cfg.k_active - 1, cfg.n_pilot)).astype(np.int64)
     return np.unique(pos)
 
@@ -202,9 +200,7 @@ def generate_frame(cfg: OfdmConfig, seed) -> FrameSymbols:
     """
     rng = np.random.default_rng(seed)
     x = QPSK_ALPHABET[rng.integers(0, 4, size=(cfg.k_active, cfg.m_symbols))]
-    pil = grid_constants(cfg).pilot_pos
-    if pil.size:
-        x[pil, :] = 1.0 + 0.0j
+    x[grid_constants(cfg).pilot_pos, :] = 1.0 + 0.0j
     return FrameSymbols(x=x)
 
 

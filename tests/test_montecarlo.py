@@ -657,6 +657,11 @@ def test_kept_workers_are_pinned_round_robin_to_the_callers_cpus(
         assert _sweep_bits(cfg, scenarios, 3) == serial
         assert pinned() == sorted([first, second, first])
         assert os.sched_getaffinity(0) == {first, second}
+        smaller = mc._new_pool(1)  # fewer workers than CPUs: left unpinned
+        try:
+            assert smaller.submit(os.sched_getaffinity, 0).result() == {first, second}
+        finally:
+            smaller.shutdown()
     finally:
         os.sched_setaffinity(0, allowed)
 

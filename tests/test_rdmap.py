@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ofdmjrc.rdmap
 from ofdmjrc import (
     ChannelGain,
     DivisionGuardError,
@@ -171,20 +173,25 @@ def test_map_matches_the_delay_transform_along_the_subcarrier_axis(numerology):
     assert range_doppler_map(fg, cfg).magnitudes.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("numerology", [{}, _LARGE], ids=["default", "large"])
+# On the large grid the shipped bound's delay slices hold 16 rows, half a
+# trial's 32, so every stack would end on a full slice; slices of 7 delay
+# rows end it on a partial one and cut through each trial.
+@pytest.mark.parametrize("numerology, delay_rows", [({}, None), (_LARGE, 7)],
+                         ids=["default", "large"])
 def test_stacked_peaks_over_several_coarse_slices_match_each_grid_alone(
-        numerology):
+        numerology, delay_rows, monkeypatch):
     cfg = build_config(**numerology)
     k, m = cfg.k_active, cfg.m_symbols
+    bound = _WORKING_VALUES
+    if delay_rows is not None:
+        bound = delay_rows * cfg.n_fft * cfg.zero_pad
+        monkeypatch.setattr(ofdmjrc.rdmap, "_WORKING_VALUES", bound)
     # (rows per trial, rows per slice) of the delay and Doppler searches
-    searches = [(m, _WORKING_VALUES // (cfg.n_fft * cfg.zero_pad)),
-                (k, _WORKING_VALUES // (m * cfg.zero_pad))]
+    searches = [(m, bound // (cfg.n_fft * cfg.zero_pad)),
+                (k, bound // (m * cfg.zero_pad))]
     n = 2 * max(-(-step // rows) for rows, step in searches) + 1
-    # several slices, the last one partial; where a slice holds a whole
-    # fraction of a trial's rows (the large delay search: 16 of 32) every
-    # stack ends on a full slice, and the slices cut through each trial
-    for rows, step in searches:
-        assert n * rows > 2 * step and ((n * rows) % step or rows > step)
+    for rows, step in searches:  # several slices, the last one partial
+        assert n * rows > 2 * step and (n * rows) % step
     grids = _noisy_freq_grids(cfg, n)
     zero = n // 2  # an all-zero grid is reported and costs the others nothing
     grids[zero] = FreqGrid(y_tilde=np.zeros((k, m), dtype=np.complex128))
@@ -204,12 +211,15 @@ def test_stacked_peaks_over_several_coarse_slices_match_each_grid_alone(
             assert stacked.dopp_obs_hz[row].tobytes() == alone.dopp_obs_hz.tobytes()
 
 
-# Runs five batch_size(cfg) batches through run_batch and prints the
-# minor faults per trial that _coarse_peaks took in each.
+# Runs five batch_size(cfg) batches through run_batch, with coarse slices
+# of argv[1] values or the shipped bound, and prints the minor faults per
+# trial that _coarse_peaks took in each.
 _FAULTS_CODE = """
-import json, resource
+import json, resource, sys
 from ofdmjrc import Scenario, TargetKind, build_config, rdmap, run_batch
 from ofdmjrc.montecarlo import batch_size
+if len(sys.argv) > 1:
+    rdmap._WORKING_VALUES = int(sys.argv[1])
 cfg = build_config()
 n = batch_size(cfg)
 coarse, faults = rdmap._coarse_peaks, [0]
@@ -231,18 +241,28 @@ print(json.dumps(per_call))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="RUSAGE_THREAD is Linux only")
-def test_the_coarse_search_reuses_its_pages_across_batches():
-    """A fresh interpreter's allocator is as cold as a kept pool worker's.
-    Slices of 2^16 values took about 75 faults per trial here. Only the
-    default numerology is held to the budget: the count on the 256/200/32
-    grid, and in a loop of bare extract_peak_observations calls, depends
-    on the heap's history (see ROADMAP)."""
-    proc = subprocess.run([sys.executable, "-c", _FAULTS_CODE],
+def _coarse_faults_per_trial(*bound: str) -> list[float]:
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_CODE, *bound],
                           capture_output=True, text=True, env=_SRC_ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
     per_call = json.loads(proc.stdout)
-    assert len(per_call) == 5 and max(per_call[1:]) <= 10, per_call
+    assert len(per_call) == 5
+    return per_call[1:]
+
+
+# The fault counts are glibc malloc's: another allocator keeps other pages.
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's page reuse with Linux RUSAGE_THREAD")
+def test_the_coarse_search_reuses_its_pages_across_batches():
+    """Fresh interpreters, as cold as kept pool workers, run default sweep
+    batches with the shipped slice bound and with 2^16-value slices. On
+    one glibc 2.36 VM they took 5.9 and 76 faults per trial. The count
+    follows the heap's history: on the 256/200/32 grid, and in loops of
+    bare extract_peak_observations calls, it moved with nothing but the
+    checkout's path, so that grid is not held here (see ROADMAP)."""
+    shipped = _coarse_faults_per_trial()
+    wide = _coarse_faults_per_trial(str(1 << 16))
+    assert 4 * max(shipped) <= min(wide), (shipped, wide)
 
 
 def test_peak_observations_recover_static_delay(cfg):
