@@ -18,7 +18,6 @@ from .channel import write_grid_bin, write_grid_csv
 from .configio import (
     detector_mode_from,
     genie_flags_from,
-    make_manifest,
     ofdm_config_from,
     resolve_config,
     scenario_from,
@@ -92,9 +91,7 @@ def cmd_simulate(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
         freq_csv = os.path.join(out_dir, "freq_grid.csv")
         _write_freq_csv(freq_csv, fg.y_tilde)
         outputs += [frame_path, grid_csv, grid_bin, freq_csv]
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    write_manifest(manifest_path,
-                   make_manifest("simulate", cfg_map, seed, outputs))
+    write_manifest(out_dir, "simulate", cfg_map, seed, outputs)
     if dump and grids is None:
         # the front half failed: no grids to dump
         raise PipelineError(rec.error)
@@ -115,9 +112,7 @@ def cmd_rdmap(config_path, overrides=(), out_dir=".", seed: int = 0) -> None:
     os.makedirs(out_dir, exist_ok=True)
     map_path = os.path.join(out_dir, "rdmap.csv")
     write_rdmap_csv(map_path, rdm)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    write_manifest(manifest_path,
-                   make_manifest("rdmap", cfg_map, seed, [map_path]))
+    write_manifest(out_dir, "rdmap", cfg_map, seed, [map_path])
     peak = rdm.peak()
     print(f"peak at delay={peak[0]:.4g} s, doppler={peak[1]:.4g} Hz; "
           f"wrote {map_path}")
@@ -133,17 +128,15 @@ def cmd_roc(config_path, out_csv, overrides=(), seed: int = 0,
     base = scenario_from(cfg_map, seed=0)
     mode = detector_mode_from(cfg_map)
     snrs = snr_list_from(cfg_map)
-    n_trials = int(cfg_map["mc.n_trials"])
-    curves = roc_sweep(cfg, snrs, None, n_trials, genie_flags_from(cfg_map),
-                       base_scenario=base, master_seed=seed, mode=mode,
+    curves = roc_sweep(cfg, snrs, None, cfg_map["mc.n_trials"],
+                       genie_flags_from(cfg_map), base_scenario=base,
+                       master_seed=seed, mode=mode,
                        cfo_floor_hz=cfg_map["detector.cfo_floor_hz"],
                        workers=workers)
     out_dir = os.path.dirname(os.path.abspath(out_csv))
     os.makedirs(out_dir, exist_ok=True)
     write_roc_csv(out_csv, curves)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    write_manifest(manifest_path,
-                   make_manifest("roc", cfg_map, seed, [out_csv]))
+    write_manifest(out_dir, "roc", cfg_map, seed, [out_csv])
     total = sum(2 * c.n_trials for c in curves)
     invalid = sum(c.n_invalid for c in curves)
     print(f"wrote {out_csv} ({len(curves)} curves, {total} trials, "

@@ -9,35 +9,31 @@ defaults, then file, then --set overrides.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import __version__
 from .channel import Scenario, TargetKind
 from .detector import MODE_AMPLITUDE, check_mode
 from .errors import ConfigurationError
-from .waveform import OfdmConfig, build_config
+from .montecarlo import DEFAULT_CFO_FLOOR_HZ
+from .waveform import OfdmConfig
+
+# Each OfdmConfig field is a key, and so is each Scenario field but the
+# per-trial seed; the dataclasses hold their defaults.
+_OFDM_KEYS = {("radar." if f.name == "v_max_mps" else "ofdm.") + f.name: f.name
+              for f in fields(OfdmConfig)}
+_SCENARIO_KEYS = {"scenario." + f.name: f.name for f in fields(Scenario) if f.name != "seed"}
 
 DEFAULTS: dict[str, object] = {
-    "ofdm.n_fft": 64,
-    "ofdm.k_active": 52,
-    "ofdm.n_pilot": 12,
-    "ofdm.delta_f_hz": 312.5e3,
-    "ofdm.f_c_hz": 5.0e9,
-    "ofdm.m_symbols": 10,
-    "ofdm.zero_pad": 16,
-    "ofdm.peak_refine_tol": 1.0e-6,
-    "radar.v_max_mps": 100.0,
-    "scenario.kind": "false",
-    "scenario.r0_m": 100.0,
-    "scenario.v_mps": 10.0,
-    "scenario.f_cfo_hz": 10.0e3,
-    "scenario.sigma_rcs_m2": 1.0,
-    "scenario.snr_db": 9.0,
+    **{key: getattr(OfdmConfig, name) for key, name in _OFDM_KEYS.items()},
+    # Scenario.kind has no default
+    **{key: getattr(Scenario, name, TargetKind.FALSE_TARGET.value)
+       for key, name in _SCENARIO_KEYS.items()},
     "detector.mode": MODE_AMPLITUDE,
-    "detector.cfo_floor_hz": 1.0,
+    "detector.cfo_floor_hz": DEFAULT_CFO_FLOOR_HZ,
     "detector.gamma_prime": 0.0,
     "mc.n_trials": 2000,
     "mc.snr_db_list": "9,13",
@@ -117,39 +113,19 @@ def resolve_config(path=None, overrides=()) -> dict[str, object]:
 
 
 def ofdm_config_from(cfg_map: dict[str, object]) -> OfdmConfig:
-    return build_config(
-        n_fft=cfg_map["ofdm.n_fft"],
-        k_active=cfg_map["ofdm.k_active"],
-        n_pilot=cfg_map["ofdm.n_pilot"],
-        delta_f_hz=cfg_map["ofdm.delta_f_hz"],
-        f_c_hz=cfg_map["ofdm.f_c_hz"],
-        m_symbols=cfg_map["ofdm.m_symbols"],
-        zero_pad=cfg_map["ofdm.zero_pad"],
-        peak_refine_tol=cfg_map["ofdm.peak_refine_tol"],
-        v_max_mps=cfg_map["radar.v_max_mps"],
-    )
-
-
-def target_kind_from(value: str) -> TargetKind:
-    for kind in TargetKind:
-        if kind.value == value:
-            return kind
-    raise ConfigurationError(
-        f"scenario.kind must be one of "
-        f"{[k.value for k in TargetKind]}, got {value!r}"
-    )
+    return OfdmConfig(**{name: cfg_map[key] for key, name in _OFDM_KEYS.items()})
 
 
 def scenario_from(cfg_map: dict[str, object], seed: int = 0) -> Scenario:
-    return Scenario(
-        kind=target_kind_from(cfg_map["scenario.kind"]),
-        r0_m=cfg_map["scenario.r0_m"],
-        v_mps=cfg_map["scenario.v_mps"],
-        f_cfo_hz=cfg_map["scenario.f_cfo_hz"],
-        sigma_rcs_m2=cfg_map["scenario.sigma_rcs_m2"],
-        snr_db=cfg_map["scenario.snr_db"],
-        seed=seed,
-    )
+    values = {name: cfg_map[key] for key, name in _SCENARIO_KEYS.items()}
+    try:
+        values["kind"] = TargetKind(values["kind"])
+    except ValueError:
+        raise ConfigurationError(
+            f"scenario.kind must be one of "
+            f"{[k.value for k in TargetKind]}, got {values['kind']!r}"
+        ) from None
+    return Scenario(**values, seed=seed)
 
 
 def detector_mode_from(cfg_map: dict[str, object]) -> str:
@@ -182,30 +158,14 @@ def genie_flags_from(cfg_map: dict[str, object]) -> list[bool]:
     return flags[value]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run, sufficient to reproduce its outputs."""
-
-    subcommand: str
-    config: dict[str, object]
-    master_seed: int
-    outputs: list[str] = field(default_factory=list)
-    timestamp: str = ""
-    version: str = __version__
-
-
-def make_manifest(subcommand: str, cfg_map: dict[str, object],
-                  master_seed: int, outputs) -> RunManifest:
-    return RunManifest(
-        subcommand=subcommand,
-        config=dict(cfg_map),
-        master_seed=int(master_seed),
-        outputs=[str(p) for p in outputs],
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def write_manifest(path, manifest: RunManifest) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
+def write_manifest(out_dir, subcommand: str, cfg_map: dict[str, object],
+                   master_seed: int, outputs) -> None:
+    """Write out_dir/manifest.json, enough to reproduce one CLI run's outputs."""
+    manifest = {
+        "config": dict(cfg_map), "master_seed": int(master_seed),
+        "outputs": [str(p) for p in outputs], "subcommand": subcommand,
+        "timestamp": datetime.now(timezone.utc).isoformat(), "version": __version__,
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -107,13 +107,9 @@ def build_design_matrices(cfg: OfdmConfig) -> DesignMatrices:
     """Design blocks for m_symbols delay rows plus k_active Doppler rows.
 
     Delay rows: [2/c, -(2/c)*m*t_sym]; Doppler rows: [0, (2/c)*(f_c + k*delta_f)].
-    Built and factored once per config; later calls return the same object.
+    OfdmConfig ensures at least 2 of each, so both designs have full column
+    rank. Built and factored once per config; later calls return the same object.
     """
-    if cfg.m_symbols < 2 or cfg.k_active < 2:
-        raise EstimationSetupError(
-            "need at least 2 symbols and 2 active subcarriers for full "
-            f"column rank, got {cfg.m_symbols} and {cfg.k_active}"
-        )
     m = np.arange(cfg.m_symbols, dtype=np.float64)
     two_c = 2.0 / C_LIGHT
     delay_rows = np.column_stack([

@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import numbers
 import os
 import threading
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,7 +72,7 @@ from .estimator import (
 from .grids import FreqGrid, SampleGrid
 from .rdmap import _WORKING_VALUES  # sizes batch_size's trial grids
 from .rdmap import extract_peak_observations, fast_time_dft, remove_known_symbols
-from .waveform import FrameSymbols, OfdmConfig, generate_frame
+from .waveform import FrameSymbols, OfdmConfig, check_fields, generate_frame
 
 DEFAULT_CFO_FLOOR_HZ = 1.0
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -439,6 +441,8 @@ def roc_sweep(cfg: OfdmConfig, snr_db_list, gamma_grid, n_trials: int,
     snr_db_list = [float(s) for s in snr_db_list]
     if not snr_db_list:
         raise ConfigurationError("snr_db_list must not be empty")
+    counts = SimpleNamespace(n_trials=n_trials, workers=workers, master_seed=master_seed)
+    check_fields(counts, vars(counts), numbers.Integral, "an integer")
     if n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:

@@ -59,6 +59,51 @@ class OfdmConfig:
     peak_refine_tol: float = 1.0e-6
     v_max_mps: float = 100.0
 
+    def __post_init__(self):
+        """Raise ConfigurationError for a bad field. Besides basic type and
+        domain checks this enforces the narrowband operating assumption that
+        the subcarrier spacing exceeds the largest expected two-way Doppler
+        shift by at least a factor of ten."""
+        check_fields(self, ("n_fft", "k_active", "n_pilot", "m_symbols", "zero_pad"),
+                     numbers.Integral, "an integer")
+        check_fields(self, ("delta_f_hz", "f_c_hz", "v_max_mps", "peak_refine_tol"),
+                     numbers.Real, "a real number")
+        for name in ("delta_f_hz", "f_c_hz", "v_max_mps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
+        if self.n_fft < 2 or (self.n_fft & (self.n_fft - 1)) != 0:
+            raise ConfigurationError(f"n_fft must be a power of two >= 2, got {self.n_fft}")
+        if not 0 < self.k_active <= self.n_fft - 1:
+            raise ConfigurationError(
+                f"k_active must be in [1, n_fft-1] to leave DC empty, got {self.k_active}"
+            )
+        if self.k_active % 2 != 0:
+            raise ConfigurationError(f"k_active must be even, got {self.k_active}")
+        if not 0 <= self.n_pilot <= self.k_active:
+            raise ConfigurationError(
+                f"n_pilot must be in [0, k_active], got {self.n_pilot}"
+            )
+        if self.m_symbols < 2:
+            raise ConfigurationError(
+                f"m_symbols must be >= 2 for slow-time processing, got {self.m_symbols}"
+            )
+        if self.zero_pad < 1:
+            raise ConfigurationError(f"zero_pad must be >= 1, got {self.zero_pad}")
+        if not 0 < self.peak_refine_tol < 1:
+            raise ConfigurationError(
+                f"peak_refine_tol must be in (0, 1), got {self.peak_refine_tol}"
+            )
+        max_doppler = 2.0 * self.v_max_mps * self.f_c_hz / C_LIGHT
+        if self.delta_f_hz < 10.0 * max_doppler:
+            raise ConfigurationError(
+                "narrowband assumption violated: delta_f_hz must be at least "
+                f"10x the worst-case two-way Doppler shift ({max_doppler:.1f} Hz "
+                f"at v_max_mps={self.v_max_mps}), got {self.delta_f_hz}"
+            )
+
     @property
     def t_sym_s(self) -> float:
         """Symbol duration 1/delta_f (no cyclic prefix in this model)."""
@@ -66,53 +111,8 @@ class OfdmConfig:
 
 
 def build_config(**kwargs) -> OfdmConfig:
-    """Construct and validate an OfdmConfig, raising ConfigurationError.
-
-    Besides basic type/domain checks this enforces the narrowband
-    operating assumption that the subcarrier spacing exceeds the largest
-    expected two-way Doppler shift by at least a factor of ten.
-    """
-    cfg = OfdmConfig(**kwargs)
-    check_fields(cfg, ("n_fft", "k_active", "n_pilot", "m_symbols", "zero_pad"),
-                 numbers.Integral, "an integer")
-    check_fields(cfg, ("delta_f_hz", "f_c_hz", "v_max_mps", "peak_refine_tol"),
-                 numbers.Real, "a real number")
-    for name in ("delta_f_hz", "f_c_hz", "v_max_mps"):
-        value = getattr(cfg, name)
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
-        if value <= 0:
-            raise ConfigurationError(f"{name} must be positive, got {value}")
-    if cfg.n_fft < 2 or (cfg.n_fft & (cfg.n_fft - 1)) != 0:
-        raise ConfigurationError(f"n_fft must be a power of two >= 2, got {cfg.n_fft}")
-    if not 0 < cfg.k_active <= cfg.n_fft - 1:
-        raise ConfigurationError(
-            f"k_active must be in [1, n_fft-1] to leave DC empty, got {cfg.k_active}"
-        )
-    if cfg.k_active % 2 != 0:
-        raise ConfigurationError(f"k_active must be even, got {cfg.k_active}")
-    if not 0 <= cfg.n_pilot <= cfg.k_active:
-        raise ConfigurationError(
-            f"n_pilot must be in [0, k_active], got {cfg.n_pilot}"
-        )
-    if cfg.m_symbols < 2:
-        raise ConfigurationError(
-            f"m_symbols must be >= 2 for slow-time processing, got {cfg.m_symbols}"
-        )
-    if cfg.zero_pad < 1:
-        raise ConfigurationError(f"zero_pad must be >= 1, got {cfg.zero_pad}")
-    if not 0 < cfg.peak_refine_tol < 1:
-        raise ConfigurationError(
-            f"peak_refine_tol must be in (0, 1), got {cfg.peak_refine_tol}"
-        )
-    max_doppler = 2.0 * cfg.v_max_mps * cfg.f_c_hz / C_LIGHT
-    if cfg.delta_f_hz < 10.0 * max_doppler:
-        raise ConfigurationError(
-            "narrowband assumption violated: delta_f_hz must be at least "
-            f"10x the worst-case two-way Doppler shift ({max_doppler:.1f} Hz "
-            f"at v_max_mps={cfg.v_max_mps}), got {cfg.delta_f_hz}"
-        )
-    return cfg
+    """An OfdmConfig, validated like every OfdmConfig (ConfigurationError)."""
+    return OfdmConfig(**kwargs)
 
 
 def active_subcarriers(cfg: OfdmConfig) -> np.ndarray:

@@ -1,23 +1,25 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from ofdmjrc import ConfigurationError
+from ofdmjrc import ConfigurationError, Scenario, TargetKind, build_config
 from ofdmjrc.configio import (
     DEFAULTS,
+    _coerce,
     apply_overrides,
     genie_flags_from,
     load_config_file,
-    make_manifest,
     ofdm_config_from,
     resolve_config,
     scenario_from,
     snr_list_from,
-    target_kind_from,
     write_manifest,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_resolve_to_working_objects():
@@ -83,10 +85,16 @@ def test_type_coercion_follows_defaults():
 
 
 def test_target_kind_and_genie_parsing():
-    assert target_kind_from("false").value == "false"
-    assert target_kind_from("real").value == "real"
-    with pytest.raises(ConfigurationError):
-        target_kind_from("imaginary")
+    def kind(value):
+        cfg_map = resolve_config(overrides=[f"scenario.kind={value}"])
+        return scenario_from(cfg_map | {"scenario.f_cfo_hz": 0.0}).kind
+
+    assert kind("false").value == "false"
+    assert kind("real").value == "real"
+    with pytest.raises(ConfigurationError,
+                       match=r"^scenario.kind must be one of \['false', 'real'\], "
+                             "got 'imaginary'$"):
+        kind("imaginary")
     assert genie_flags_from({"mc.genie": "estimated"}) == [False]
     assert genie_flags_from({"mc.genie": "genie"}) == [True]
     assert genie_flags_from({"mc.genie": "both"}) == [False, True]
@@ -105,14 +113,62 @@ def test_snr_list_parsing():
 
 def test_manifest_round_trip(tmp_path):
     cfg_map = resolve_config()
-    manifest = make_manifest("roc", cfg_map, master_seed=3,
-                             outputs=["/tmp/roc.csv"])
-    path = tmp_path / "manifest.json"
-    write_manifest(path, manifest)
-    back = json.loads(path.read_text())
+    write_manifest(tmp_path, "roc", cfg_map, master_seed=3,
+                   outputs=["out/roc.csv"])
+    back = json.loads((tmp_path / "manifest.json").read_text())
     assert back["subcommand"] == "roc"
     assert back["master_seed"] == 3
-    assert back["outputs"] == ["/tmp/roc.csv"]
+    assert back["outputs"] == ["out/roc.csv"]
     assert back["config"]["ofdm.n_fft"] == 64
     assert back["version"]
     assert "T" in back["timestamp"]
+
+
+def test_default_keys_build_the_dataclass_defaults():
+    cfg_map = resolve_config()
+    assert ofdm_config_from(cfg_map) == build_config()
+    assert scenario_from(cfg_map) == Scenario(kind=TargetKind.FALSE_TARGET)
+
+
+def test_defaults_keep_every_key_value_and_type():
+    expected = {
+        "ofdm.n_fft": 64,
+        "ofdm.k_active": 52,
+        "ofdm.n_pilot": 12,
+        "ofdm.delta_f_hz": 312.5e3,
+        "ofdm.f_c_hz": 5.0e9,
+        "ofdm.m_symbols": 10,
+        "ofdm.zero_pad": 16,
+        "ofdm.peak_refine_tol": 1.0e-6,
+        "radar.v_max_mps": 100.0,
+        "scenario.kind": "false",
+        "scenario.r0_m": 100.0,
+        "scenario.v_mps": 10.0,
+        "scenario.f_cfo_hz": 10.0e3,
+        "scenario.sigma_rcs_m2": 1.0,
+        "scenario.snr_db": 9.0,
+        "detector.mode": "amplitude",
+        "detector.cfo_floor_hz": 1.0,
+        "detector.gamma_prime": 0.0,
+        "mc.n_trials": 2000,
+        "mc.snr_db_list": "9,13",
+        "mc.genie": "both",
+        "io.dump_grids": False,
+    }
+    assert list(DEFAULTS) == list(expected)
+    assert DEFAULTS == expected
+    assert {k: type(v) for k, v in DEFAULTS.items()} == {
+        k: type(v) for k, v in expected.items()}
+
+
+def test_readme_config_table_matches_defaults():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |") + 2  # past the --- row
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert [row[0] for row in rows] == list(DEFAULTS)
+    for key, default, _meaning in rows:
+        assert _coerce(key, default) == DEFAULTS[key], key

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmjrc import (
+    ConfigurationError,
     EstimationSetupError,
     IllConditionedError,
     PeakObservations,
@@ -63,10 +66,8 @@ def test_doppler_rows_average_to_carrier_slope(cfg):
 def test_build_design_matrices_needs_enough_rows():
     tiny = build_config(m_symbols=2)
     build_design_matrices(tiny)  # smallest legal case works
-    with pytest.raises(EstimationSetupError):
-        from dataclasses import replace
-
-        build_design_matrices(replace(tiny, m_symbols=1))
+    with pytest.raises(ConfigurationError, match="m_symbols must be >= 2"):
+        replace(tiny, m_symbols=1)  # no config reaches the design with fewer
 
 
 def test_equal_configs_share_one_design_and_one_set_of_constants():

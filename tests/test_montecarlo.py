@@ -3,6 +3,7 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -180,6 +181,21 @@ def test_roc_sweep_validates_arguments(cfg):
         _tiny_sweep(cfg, snr_db_list=[])
     with pytest.raises(ConfigurationError):
         _tiny_sweep(cfg, gamma_grid=np.array([]))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_trials", 2.5), ("n_trials", "3"), ("n_trials", True),
+    ("master_seed", 1.5), ("workers", 1.5),
+])
+def test_roc_sweep_rejects_non_integer_counts_before_any_trial(cfg, monkeypatch,
+                                                               name, value):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(mc, "_run_many", no_trials)  # and so no pool either
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{name} must be an integer, got {value!r}")):
+        _tiny_sweep(cfg, **{name: value})
 
 
 def test_write_roc_csv_schema(tmp_path, cfg):

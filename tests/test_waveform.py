@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ofdmjrc import (
     C_LIGHT,
     ConfigurationError,
+    OfdmConfig,
     active_subcarriers,
     build_config,
     generate_frame,
@@ -25,6 +28,17 @@ def test_default_numerology_is_exact():
     assert cfg.t_sym_s == 3.2e-6
     # the symbol time is the exact reciprocal of the grid spacing
     assert cfg.t_sym_s * cfg.delta_f_hz == 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OfdmConfig(n_fft=48),
+    lambda: replace(build_config(), zero_pad=0),
+    lambda: replace(build_config(), k_active=51),
+    lambda: replace(build_config(), delta_f_hz=1e3),
+], ids=["OfdmConfig-n_fft", "replace-zero_pad", "replace-k_active", "replace-delta_f_hz"])
+def test_every_construction_path_validates(make):
+    with pytest.raises(ConfigurationError):
+        make()
 
 
 def test_build_config_rejects_bad_values():
